@@ -44,8 +44,11 @@ def _digest(data):
 
 
 def _read(path, inputs):
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
     inputs[path] = _digest(data)
     return data.decode("utf-8")
 
@@ -154,6 +157,8 @@ def cmd_find_berge(args):
 
 
 def cmd_unavoidable(args):
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     inputs = {}
     hg = parse_hypergraph(_read(args.host, inputs))
     g1_text = _read(args.g1, inputs)

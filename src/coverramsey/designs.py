@@ -15,7 +15,9 @@ Implemented families:
   with Z_q acting by translation.  One block orbit forms a class that
   develops into q classes; the remaining 3t classes (q = 6t + 1) are
   orbits of transversal base blocks.  Pure same-level pairs are covered by
-  difference triples partitioning the difference classes of Z_q.
+  difference triples partitioning the difference classes of Z_q.  The
+  transversal data was found once by backtracking and is stored below, not
+  searched for; the designs built from it are still verified.
 
 Anything else raises UnsupportedParametersError; the verifier accepts
 arbitrary candidate designs.
@@ -280,7 +282,25 @@ _KTS15 = (
     ((1, 12, 14), (2, 9, 10), (3, 4, 11), (5, 7, 15), (6, 8, 13)),
 )
 
-_KTS_3Q_MAX_Q = 25  # transversal search grows sharply beyond this
+# Transversal data of the 3q construction, per q: the level-1 and level-2
+# partners (bs, cs) of the leftover level-0 points, and the (d, e) base
+# block differences of the 3t developed classes.  Found once by
+# backtracking (lexicographic, first solution); gen-design and
+# design_to_hypergraph run verify_resolvable_bibd on every design built
+# from it.
+_KTS_TRANSVERSALS = {
+    7: ((4, 2, 6, 5), (5, 6, 2, 4), ((0, 0), (3, 1), (4, 6))),
+    13: ((2, 7, 6, 12, 11, 9, 8), (6, 2, 12, 9, 7, 8, 11),
+         ((3, 3), (5, 7), (6, 0), (7, 8), (8, 6), (10, 2))),
+    19: ((6, 9, 8, 14, 16, 17, 10, 18, 11, 15),
+         (6, 10, 14, 17, 8, 15, 18, 11, 16, 9),
+         ((6, 13), (7, 4), (8, 17), (9, 11), (10, 9), (11, 15), (12, 8),
+          (15, 6), (17, 12))),
+    25: ((7, 10, 8, 15, 18, 12, 21, 24, 14, 22, 16, 19, 23),
+         (7, 12, 15, 8, 21, 23, 18, 16, 22, 10, 14, 24, 19),
+         ((7, 19), (8, 18), (9, 15), (10, 24), (11, 12), (12, 16), (13, 22),
+          (14, 13), (15, 10), (16, 6), (17, 11), (18, 9))),
+}
 
 
 def _difference_triples(q):
@@ -320,7 +340,6 @@ def _difference_triples(q):
 def _kts_three_q_classes(q):
     """Kirkman system on 3q points, q = 6t + 1, as described in the module
     docstring.  Point (x, level) gets id 1 + level*q + x."""
-    t = (q - 1) // 6
     fam = _difference_triples(q)
     if fam is None:
         raise UnsupportedParametersError(
@@ -329,116 +348,29 @@ def _kts_three_q_classes(q):
     def dev(base, x):
         return tuple(sorted((p + x) % q + lvl * q + 1 for p, lvl in base))
 
-    # one pure difference triple set per level, translated to be disjoint
-    pure = {}
-    for lvl in range(3):
-        placed, usedpts = [], set()
-        for base in fam:
-            for s in range(q):
-                pts = {(p + s) % q for p in base}
-                if not pts & usedpts:
-                    placed.append(tuple(sorted(pts)))
-                    usedpts |= pts
-                    break
-            else:
-                raise UnsupportedParametersError(
-                    f"could not place difference triples for q={q}")
-        pure[lvl] = (placed, sorted(set(range(q)) - usedpts))
+    # the pure difference triples translated to be disjoint; the same
+    # placement serves all three levels
+    placed, usedpts = [], set()
+    for base in fam:
+        for s in range(q):
+            pts = {(p + s) % q for p in base}
+            if not pts & usedpts:
+                placed.append(tuple(sorted(pts)))
+                usedpts |= pts
+                break
+        else:
+            raise UnsupportedParametersError(
+                f"could not place difference triples for q={q}")
+    rem = sorted(set(range(q)) - usedpts)
 
-    rem0, rem1, rem2 = (pure[lvl][1] for lvl in range(3))
-    r = 3 * t + 1
-    sol = {}
-
-    def finish(bs, cs):
-        dset = sorted(set(range(q)) - {(b - a) % q for a, b in zip(rem0, bs)})
-        eset = sorted(set(range(q)) - {(c - a) % q for a, c in zip(rem0, cs)})
-        need = set(range(q)) - {(c - b) % q for b, c in zip(bs, cs)}
-        if len(need) != 3 * t:
-            return False  # duplicate (1,2)-differences among transversals
-        pairing = []
-
-        def match(i, usede, useddiff):
-            if i == 3 * t:
-                return True
-            d = dset[i]
-            for e_val in eset:
-                if e_val in usede:
-                    continue
-                df = (e_val - d) % q
-                if df not in need or df in useddiff:
-                    continue
-                pairing.append((d, e_val))
-                if match(i + 1, usede | {e_val}, useddiff | {df}):
-                    return True
-                pairing.pop()
-            return False
-
-        if match(0, set(), set()):
-            sol["pairing"] = list(pairing)
-            return True
-        return False
-
-    def search():
-        bs, db = [], set()
-
-        def rb(i):
-            if i == r:
-                sol["bs"] = list(bs)
-                return rc()
-            for b in rem1:
-                if b in bs:
-                    continue
-                d = (b - rem0[i]) % q
-                if d in db:
-                    continue
-                bs.append(b)
-                db.add(d)
-                if rb(i + 1):
-                    return True
-                bs.pop()
-                db.remove(d)
-            return False
-
-        def rc():
-            cs, dc = [], set()
-
-            def rec(i):
-                if i == r:
-                    if finish(sol["bs"], cs):
-                        sol["cs"] = list(cs)
-                        return True
-                    return False
-                for c in rem2:
-                    if c in cs:
-                        continue
-                    d = (c - rem0[i]) % q
-                    if d in dc:
-                        continue
-                    cs.append(c)
-                    dc.add(d)
-                    if rec(i + 1):
-                        return True
-                    cs.pop()
-                    dc.remove(d)
-                return False
-
-            return rec(0)
-
-        return rb(0)
-
-    if not search():
-        raise UnsupportedParametersError(
-            f"transversal system search failed for q={q}")
-
+    bs, cs, pairing = _KTS_TRANSVERSALS[q]
     classes = []
-    for d, e_val in sol["pairing"]:
+    for d, e_val in pairing:
         base = ((0, 0), (d, 1), (e_val, 2))
         classes.append(tuple(sorted(dev(base, x) for x in range(q))))
-    floating = []
-    for lvl in range(3):
-        for pts in pure[lvl][0]:
-            floating.append(tuple((p, lvl) for p in pts))
-    for a, b, c in zip(rem0, sol["bs"], sol["cs"]):
+    floating = [tuple((p, lvl) for p in pts)
+                for lvl in range(3) for pts in placed]
+    for a, b, c in zip(rem, bs, cs):
         floating.append(((a, 0), (b, 1), (c, 2)))
     for x in range(q):
         classes.append(tuple(sorted(dev(base, x) for base in floating)))
@@ -475,11 +407,11 @@ def construct_resolvable_bibd(n, k):
         if n == 15:
             return ResolvableDesign.from_lists(15, 3, _KTS15)
         q = n // 3
-        if n % 3 == 0 and q % 6 == 1 and 7 <= q <= _KTS_3Q_MAX_Q:
+        if q in _KTS_TRANSVERSALS:
             return ResolvableDesign.from_lists(n, 3, _kts_three_q_classes(q))
         raise UnsupportedParametersError(
             f"n={n} outside the implemented Kirkman families "
-            f"(powers of 3, 15, or 3q with q = 1 mod 6, q <= {_KTS_3Q_MAX_Q})")
+            f"(powers of 3, 15, or 3q with q = 1 mod 6, q <= 25)")
     raise UnsupportedParametersError(
         f"(n={n}, k={k}) outside the implemented families "
         f"(affine planes n = k^2, or k = 3)")

@@ -65,6 +65,8 @@ def scatter_rejection_trials(hg, s, trials, seed=0):
     """Draw `trials` independent uniform s-subsets and count how many are
     rejected by the scatteredness test.  Used to compare the observed
     rejection rate against the analytic union bound."""
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     if not hg.is_covering():
         raise ValueError("host must be covering")
     rng = random.Random(seed)

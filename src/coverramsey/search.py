@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 
 from .berge import complete_graph, contains_mono_berge, find_berge
 from .hypergraph import (EdgeColoring, check_coloring, complete_host,
@@ -159,34 +158,71 @@ class BadEvent:
 
 
 def _pair_block_map(hg):
+    """block[u][v]: the one hyperedge holding the pair {u, v}."""
     pair_edges = hg.pair_edges()
     total = hg.n * (hg.n - 1) // 2
     if len(pair_edges) != total or any(len(v) != 1 for v in
                                        pair_edges.values()):
         raise ValueError("host must be linear and covering "
                          "(every pair in exactly one hyperedge)")
-    return {p: es[0] for p, es in pair_edges.items()}
+    block = [[-1] * (hg.n + 1) for _ in range(hg.n + 1)]
+    for (u, v), (b,) in pair_edges.items():
+        block[u][v] = block[v][u] = b
+    return block
+
+
+def _bad_events(hg, coloring, t):
+    """Yield the bad events of `scan_bad_events` in lexicographic t_set
+    order, growing each vertex set one vertex at a time.
+
+    The first pair fixes the color.  A candidate vertex stays only while
+    its block to every chosen vertex has that color and is not yet used;
+    on a linear host an unused block is one holding no third chosen point,
+    so a prefix that cannot become a bad event is dropped at once.
+    """
+    check_coloring(hg, coloring)
+    block = _pair_block_map(hg)
+    if t < 0:
+        raise ValueError(f"t must be non-negative, got {t}")
+    n, colors = hg.n, coloring.colors
+
+    def grow(chosen, used, cand, color):
+        if len(chosen) == t:
+            yield BadEvent(tuple(chosen), tuple(sorted(used)), color)
+            return
+        for i, w in enumerate(cand):
+            if len(chosen) + len(cand) - i < t:
+                return
+            row = block[w]
+            grown = used | {row[s] for s in chosen}
+            yield from grow(chosen + [w], grown,
+                            [x for x in cand[i + 1:]
+                             if colors[row[x]] == color
+                             and row[x] not in grown], color)
+
+    if t < 2:
+        return  # no pair, so no block and no color
+    for u in range(1, n + 1):
+        for w in range(u + 1, n + 1):
+            b = block[u][w]
+            color = colors[b]
+            yield from grow([u, w], {b},
+                            [x for x in range(w + 1, n + 1)
+                             if colors[block[u][x]] == color
+                             and colors[block[w][x]] == color
+                             and block[w][x] != b], color)
 
 
 def scan_bad_events(hg, coloring, t):
-    """All monochromatic Berge-K_t vertex sets on a linear covering host.
+    """All monochromatic Berge-K_t vertex sets on a linear covering host,
+    in lexicographic order.
 
     A t-set qualifies iff no hyperedge contains 3 of its vertices (with
     one block per pair, that is the same as all blocks being distinct) and
-    the blocks all share one color.
+    the blocks all share one color.  The sets are enumerated by extension
+    (`_bad_events`), so t-sets that fail on a prefix are never visited.
     """
-    check_coloring(hg, coloring)
-    pair_block = _pair_block_map(hg)
-    out = []
-    for t_set in combinations(range(1, hg.n + 1), t):
-        blocks = [pair_block[p] for p in combinations(t_set, 2)]
-        distinct = set(blocks)
-        if len(distinct) != len(blocks):
-            continue
-        cs = {coloring.colors[b] for b in distinct}
-        if len(cs) == 1:
-            out.append(BadEvent(t_set, tuple(sorted(distinct)), cs.pop()))
-    return out
+    return list(_bad_events(hg, coloring, t))
 
 
 @dataclass(frozen=True)
@@ -208,19 +244,17 @@ def moser_tardos_coloring(hg, t, seed=0, max_resamples=10 ** 6):
     one.  The returned coloring (when found) scans clean, i.e. the host
     has no monochromatic Berge-K_t under it.  Deterministic per seed.
     """
-    _pair_block_map(hg)  # validate the linear covering precondition up front
     rng = random.Random(seed)
     colors = [rng.randrange(2) for _ in range(hg.num_edges)]
     trace = []
     resamples = 0
     while True:
         coloring = EdgeColoring(tuple(colors), 2)
-        bad = scan_bad_events(hg, coloring, t)
-        if not bad:
+        event = next(_bad_events(hg, coloring, t), None)
+        if event is None:
             return MTRun(coloring, resamples, tuple(trace))
         if resamples >= max_resamples:
             return MTRun(None, resamples, tuple(trace))
-        event = min(bad, key=lambda b: b.t_set)
         trace.append(event)
         for b in event.blocks:
             colors[b] = rng.randrange(2)
@@ -269,9 +303,8 @@ def lower_bound_certificate(hg, coloring, t):
     codegrees = [len(v) for v in hg.pair_edges().values()]
     if codegrees and min(codegrees) == max(codegrees) == 1:
         method = "bad-event-scan"
-        bad = scan_bad_events(hg, coloring, t)
-        if bad:
-            event = min(bad, key=lambda b: b.t_set)
+        event = next(_bad_events(hg, coloring, t), None)
+        if event is not None:
             cert = find_berge(hg, target, coloring, event.color)
             raise VerificationFailure(
                 f"monochromatic Berge-K_{t} on {event.t_set} "

@@ -102,3 +102,22 @@ def random_covering_hypergraph(rng, n, k=3, extra=4, mixed=False):
 def random_coloring(rng, hg, palette=2):
     return EdgeColoring(tuple(rng.randrange(palette)
                               for _ in range(hg.num_edges)), palette)
+
+
+def naive_bad_events(hg, coloring, t):
+    """Every vertex t-set of a linear host whose C(t, 2) pair blocks are
+    pairwise distinct and share one color, found by testing all C(n, t)
+    sets; returns (t_set, sorted blocks, color) triples in lexicographic
+    order."""
+    block_of = {p: i for i, e in enumerate(hg.edges)
+                for p in combinations(e, 2)}.__getitem__
+    pairs = t * (t - 1) // 2
+    out = []
+    for t_set in combinations(range(1, hg.n + 1), t):
+        blocks = set(map(block_of, combinations(t_set, 2)))
+        if len(blocks) != pairs:
+            continue
+        cs = {coloring.colors[b] for b in blocks}
+        if len(cs) == 1:
+            out.append((t_set, tuple(sorted(blocks)), cs.pop()))
+    return out

@@ -128,6 +128,12 @@ class TestUnavoidable:
         assert run("unavoidable", files["k6"], files["k3"], files["k3"]) == 0
         assert "UNAVOIDABLE" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_non_positive_jobs_exit_1(self, files, capsys, jobs):
+        assert run("unavoidable", files["k5"], files["k3"], files["k3"],
+                   "--jobs", jobs) == 1
+        assert "error: --jobs must be at least 1" in capsys.readouterr().err
+
 
 class TestMtLllAndCertify:
     def test_full_chain(self, files, capsys):
@@ -181,6 +187,13 @@ class TestScatter:
     def test_impossible_subset_exit_2(self, files, capsys):
         assert run("scatter", files["fano"], "7",
                    "--max-attempts", "40") == 2
+
+    def test_negative_trials_exit_1(self, files, capsys):
+        out = files["dir"] / "scatter.json"
+        assert run("scatter", files["fano"], "3", "--trials", "-1",
+                   "-o", out) == 1
+        assert "error: trials must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_record_verifies(self, files, capsys):
         out = files["dir"] / "scatter.json"
@@ -236,6 +249,16 @@ class TestVerifyDispatch:
         bad = files["dir"] / "bad.json"
         bad.write_text('{"record": "mystery"}\n')
         assert run("verify", bad) == 1
+
+    @pytest.mark.parametrize("argv", [("verify", "{missing}"),
+                                      ("check-covering", "{missing}"),
+                                      ("find-berge", "{fano}", "{missing}")])
+    def test_missing_input_file_exit_1(self, files, capsys, argv):
+        paths = {"missing": files["dir"] / "missing.hg", "fano": files["fano"]}
+        assert run(*(a.format(**paths) for a in argv)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("error: cannot read ")
+        assert "No such file or directory" in err[0]
 
     def test_malformed_record_exit_1(self, files):
         bad = files["dir"] / "torn.json"

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 from math import comb
 
@@ -42,6 +43,21 @@ class TestConstruction:
 
     def test_39_3_kirkman(self):
         assert_valid(construct_resolvable_bibd(39, 3), 39, 3)
+
+    @pytest.mark.parametrize("n", [57, 75])
+    def test_large_3q_kirkman(self, n):
+        assert_valid(construct_resolvable_bibd(n, 3), n, 3)
+
+    @pytest.mark.parametrize("n,digest", [
+        (21, "7bfbaef8d98393e0efb17a46ce24d9ebd12403e0f93f4b31aa253eb97bf981c4"),
+        (39, "930772295d8152fd026f0bdbd7444501abdc0f17f14f88959577aa19d40bee74"),
+        (57, "5b10c629bdce8b36789db27d227f8f5d2734fcca267e71bb6f4b0f104fcefcee"),
+        (75, "89a7f88168eb1b42e96637929f09d167983f86fbb16c934834d3264d9e510855"),
+    ])
+    def test_3q_kirkman_text_pinned(self, n, digest):
+        # digests of the systems the transversal backtracking search built
+        text = format_design(construct_resolvable_bibd(n, 3))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_3_3_trivial(self):
         design = construct_resolvable_bibd(3, 3)

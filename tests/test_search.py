@@ -14,7 +14,8 @@ from coverramsey import (AVOIDABLE, EdgeColoring, Hypergraph,
                          verify_certificate)
 from coverramsey.search import shard_prefixes
 
-from _oracles import fano, naive_unavoidable, random_hypergraph
+from _oracles import (fano, naive_bad_events, naive_unavoidable,
+                      random_hypergraph)
 
 K2 = complete_graph(2)
 K3 = complete_graph(3)
@@ -168,6 +169,30 @@ class TestScanBadEvents:
         with pytest.raises(ValueError):
             scan_bad_events(hg, EdgeColoring((0,) * 8, 2), 3)
 
+    def test_rejects_negative_t(self):
+        with pytest.raises(ValueError):
+            scan_bad_events(d9_host(), EdgeColoring((0,) * 12, 2), -1)
+
+    @pytest.mark.parametrize("n,k", [(9, 3), (15, 3), (16, 4), (21, 3),
+                                     (25, 5)])
+    def test_matches_naive_scan(self, n, k):
+        hg = design_to_hypergraph(construct_resolvable_bibd(n, k))
+        rng = random.Random(1000 * n + k)
+        m = hg.num_edges
+        colorings = [EdgeColoring(tuple(rng.randrange(2) for _ in range(m)),
+                                  2),
+                     EdgeColoring((rng.randrange(2),) * m, 2)]
+        for coloring in colorings:
+            vanished = False
+            for t in range(n + 2):
+                got = [(ev.t_set, ev.blocks, ev.color)
+                       for ev in scan_bad_events(hg, coloring, t)]
+                # for t >= 3 every (t-1)-subset of a bad t-set is bad, so
+                # once the oracle finds none there are none for larger t
+                want = [] if vanished else naive_bad_events(hg, coloring, t)
+                assert got == want, (t, coloring.colors)
+                vanished = t >= 2 and not want
+
     def test_linear_scan_equals_berge_search(self):
         hg = d9_host()
         rng = random.Random(17)
@@ -207,6 +232,15 @@ class TestMoserTardos:
         assert a.coloring == b.coloring
         assert a.trace == b.trace
         assert a.resamples == b.resamples
+
+    @pytest.mark.parametrize("n,k,t,resamples", [(21, 3, 5, 35),
+                                                 (25, 5, 5, 12),
+                                                 (27, 3, 6, 2)])
+    def test_pinned_resample_counts(self, n, k, t, resamples):
+        hg = design_to_hypergraph(construct_resolvable_bibd(n, k))
+        run = moser_tardos_coloring(hg, t, seed=0)
+        assert run.resamples == len(run.trace) == resamples
+        assert scan_bad_events(hg, run.coloring, t) == []
 
     def test_t2_never_succeeds(self):
         hg = d9_host()
