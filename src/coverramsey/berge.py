@@ -166,33 +166,40 @@ def verify_certificate(hg, g, cert, coloring=None, color=None):
     return VerifyResult(True)
 
 
-def _max_matching(candidates):
-    """Kuhn's augmenting-path maximum matching.
+def _kuhn(cands):
+    """Kuhn's augmenting-path matching on candidate bitmasks, one per
+    graph edge, trying bits from low to high (ascending hyperedge order).
+    Returns the chosen hyperedge index per graph edge, or None when no
+    matching covers every graph edge."""
+    owner = {}  # hyperedge bit -> graph edge
+    seen = 0
 
-    `candidates` is a list of candidate-hyperedge lists, one per graph edge;
-    returns (size, match) where match[i] is the hyperedge chosen for graph
-    edge i (or None).
-    """
-    match_of_edge = [None] * len(candidates)
-    owner = {}
-
-    def augment(i, visited):
-        for h in candidates[i]:
-            if h in visited:
-                continue
-            visited.add(h)
-            j = owner.get(h)
-            if j is None or augment(j, visited):
-                owner[h] = i
-                match_of_edge[i] = h
+    def augment(i):
+        nonlocal seen
+        free = cands[i] & ~seen
+        while free:
+            bit = free & -free
+            seen |= bit
+            j = owner.get(bit)
+            if j is None or augment(j):
+                owner[bit] = i
                 return True
+            free = cands[i] & ~seen
         return False
 
-    size = 0
-    for i in range(len(candidates)):
-        if augment(i, set()):
-            size += 1
-    return size, match_of_edge
+    for i in range(len(cands)):
+        seen = 0
+        if not augment(i):
+            return None
+    return [bit.bit_length() - 1 for bit in sorted(owner, key=owner.get)]
+
+
+def _mask(indices):
+    """The bitmask with these bit positions set."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
 
 
 def matching_for_assignment(hg, g, vertex_map, allowed=None):
@@ -206,103 +213,111 @@ def matching_for_assignment(hg, g, vertex_map, allowed=None):
     if len(set(vmap.values())) != len(vmap):
         raise ValueError("vertex_map is not injective")
     pair_edges = hg.pair_edges()
-    candidates = []
-    for u, v in g.edges:
-        a, b = vmap[u], vmap[v]
-        cand = pair_edges.get((min(a, b), max(a, b)), ())
-        if allowed is not None:
-            cand = [i for i in cand if i in allowed]
-        if not cand:
+    mask = -1 if allowed is None else _mask(i for i in allowed if i >= 0)
+    cands = [mask & _mask(pair_edges.get(tuple(sorted((vmap[u], vmap[v]))),
+                                         ())) for u, v in g.edges]
+    match = _kuhn(cands) if all(cands) else None
+    return None if match is None else dict(enumerate(match))
+
+
+class BergeSearch:
+    """The Berge-G search on one host, built once and run on any set of
+    allowed hyperedges (a bitmask), e.g. on each coloring's color classes.
+
+    Target vertices are placed in descending degree order, host vertices
+    tried ascending.  A graph edge is placed with its later endpoint; its
+    candidates are `pair_mask & allowed`.  A placement is pruned when an
+    edge has no candidate or the placed edges fail a matching (Hall) test.
+    """
+
+    __slots__ = ("hg", "g", "order", "incident", "pair_mask")
+
+    def __init__(self, hg, g):
+        deg = g.degrees()
+        order = sorted(range(1, g.nv + 1), key=lambda v: (-deg[v], v))
+        pos = {v: i for i, v in enumerate(order)}
+        self.hg, self.g, self.order = hg, g, order
+        # incident[i]: (edge, earlier position) for edges placed at i
+        self.incident = [[] for _ in range(g.nv)]
+        for ei, (u, v) in enumerate(g.edges):
+            first, later = sorted((pos[u], pos[v]))
+            self.incident[later].append((ei, first))
+        # pair_mask[a][b]: the hyperedges containing both a and b
+        self.pair_mask = [[0] * (hg.n + 1) for _ in range(hg.n + 1)]
+        for (a, b), idx in hg.pair_edges().items():
+            self.pair_mask[a][b] = self.pair_mask[b][a] = _mask(idx)
+
+    def run(self, allowed):
+        """(vertex_map, edge_map) dicts of the first copy, in search order,
+        that uses only hyperedges in the `allowed` bitmask; else None."""
+        g, n, incident, pair_mask = (self.g, self.hg.n, self.incident,
+                                     self.pair_mask)
+        if g.nv > n or g.num_edges > allowed.bit_count():
             return None
-        candidates.append(list(cand))
-    size, match = _max_matching(candidates)
-    if size != g.num_edges:
-        return None
-    return {i: match[i] for i in range(g.num_edges)}
+        if g.num_edges == 0:
+            # vacuous edge map; any injective vertex placement works
+            return {v: v for v in range(1, g.nv + 1)}, {}
+        image = [0] * g.nv
+        used = [False] * (n + 1)
+        cand = [0] * g.num_edges  # 0 while the edge is unplaced
+        last = []  # the matching of the last Hall test passed
+
+        def assign(i):
+            nonlocal last
+            if i == g.nv:
+                return True
+            edges = incident[i]
+            for hv in range(1, n + 1):
+                if used[hv]:
+                    continue
+                row = pair_mask[hv]
+                for ei, p in edges:
+                    cand[ei] = row[image[p]] & allowed
+                    if not cand[ei]:
+                        break
+                else:
+                    match = _kuhn([c for c in cand if c]) if edges else last
+                    if match is not None:
+                        last = match
+                        image[i], used[hv] = hv, True
+                        if assign(i + 1):
+                            return True
+                        used[hv] = False
+                for ei, _ in edges:
+                    cand[ei] = 0
+            return False
+
+        if not assign(0):
+            return None
+        # only edge-free positions follow the last Hall test passed, so it
+        # saw every edge placed, in index order: its matching is the edge map
+        return dict(zip(self.order, image)), dict(enumerate(last))
+
+    def certificate(self, allowed, coloring=None, color=None):
+        """The verified certificate of `run(allowed)`, or None."""
+        found = self.run(allowed)
+        if found is None:
+            return None
+        cert = BergeCertificate.from_dicts(*found)
+        assert verify_certificate(self.hg, self.g, cert, coloring, color)
+        return cert
 
 
 def find_berge(hg, g, coloring=None, color=None):
     """Search for a Berge-G certificate in the host, optionally restricted
-    to hyperedges of one color.
+    to hyperedges of one color (ValueError if it is outside the palette).
 
-    Backtracks over vertex images (target vertices in descending degree
-    order, host vertices ascending), pruning whenever a fully-mapped graph
-    edge has no remaining candidate hyperedge or the partial candidate
-    lists fail a matching (Hall) test.  Returns a verified certificate or
-    None when no copy exists.
+    Builds a `BergeSearch` and runs it once, on the edge set or the color
+    class.  Returns a verified certificate or None when no copy exists.
     """
-    allowed = None
+    allowed = (1 << hg.num_edges) - 1
     if coloring is not None and color is not None:
         check_coloring(hg, coloring)
-        allowed = frozenset(coloring.indices_of(color))
-        if len(allowed) < g.num_edges:
-            return None
-    if g.num_edges > hg.num_edges or g.nv > hg.n:
-        return None
-
-    deg = g.degrees()
-    order = sorted(range(1, g.nv + 1), key=lambda v: (-deg[v], v))
-    pos = {v: i for i, v in enumerate(order)}
-    # incident[i]: edges whose second endpoint is placed at position i
-    incident = [[] for _ in range(g.nv)]
-    for ei, (u, v) in enumerate(g.edges):
-        later = u if pos[u] > pos[v] else v
-        incident[pos[later]].append(ei)
-    pair_edges = hg.pair_edges()
-
-    vmap = {}
-    used_hosts = set()
-    cand_lists = {}
-    found = {}
-
-    def assign(i):
-        if i == g.nv:
-            emap = matching_for_assignment(hg, g, vmap, allowed)
-            if emap is None:
-                return False
-            found["emap"] = emap
-            return True
-        gv = order[i]
-        for hv in range(1, hg.n + 1):
-            if hv in used_hosts:
-                continue
-            vmap[gv] = hv
-            used_hosts.add(hv)
-            ok = True
-            added = []
-            for ei in incident[i]:
-                u, v = g.edges[ei]
-                a, b = vmap[u], vmap[v]
-                cand = pair_edges.get((min(a, b), max(a, b)), ())
-                if allowed is not None:
-                    cand = [h for h in cand if h in allowed]
-                if not cand:
-                    ok = False
-                    break
-                cand_lists[ei] = list(cand)
-                added.append(ei)
-            if ok and added:
-                lists = [cand_lists[e] for e in sorted(cand_lists)]
-                size, _ = _max_matching(lists)
-                ok = size == len(lists)
-            if ok and assign(i + 1):
-                return True
-            for ei in added:
-                cand_lists.pop(ei, None)
-            del vmap[gv]
-            used_hosts.discard(hv)
-        return False
-
-    if g.num_edges == 0:
-        # vacuous edge map; any injective vertex placement works
-        vm = {v: v for v in range(1, g.nv + 1)}
-        return BergeCertificate.from_dicts(vm, {})
-
-    if assign(0):
-        cert = BergeCertificate.from_dicts(dict(vmap), found["emap"])
-        assert verify_certificate(hg, g, cert, coloring, color)
-        return cert
-    return None
+        if not 0 <= color < coloring.palette_size:
+            raise ValueError(f"color {color} outside palette "
+                             f"0..{coloring.palette_size - 1}")
+        allowed = _mask(coloring.indices_of(color))
+    return BergeSearch(hg, g).certificate(allowed, coloring, color)
 
 
 def contains_mono_berge(hg, coloring, g1, g2):
@@ -311,10 +326,17 @@ def contains_mono_berge(hg, coloring, g1, g2):
     if coloring.palette_size != 2:
         raise ValueError("contains_mono_berge needs a 2-color palette")
     check_coloring(hg, coloring)
-    cert = find_berge(hg, g1, coloring, 0)
-    if cert is not None:
-        return (0, cert)
-    cert = find_berge(hg, g2, coloring, 1)
-    if cert is not None:
-        return (1, cert)
+    first = BergeSearch(hg, g1)
+    second = first if g2 == g1 else BergeSearch(hg, g2)
+    return mono_hit(first, second, coloring, _mask(coloring.indices_of(1)))
+
+
+def mono_hit(first, second, coloring, red):
+    """`contains_mono_berge` with the G1 and G2 searches built and the red
+    (color 1) class given as a bitmask; the other hyperedges are blue."""
+    blue = red ^ ((1 << len(coloring)) - 1)
+    for color, search, allowed in ((0, first, blue), (1, second, red)):
+        cert = search.certificate(allowed, coloring, color)
+        if cert is not None:
+            return (color, cert)
     return None

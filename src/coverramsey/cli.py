@@ -12,6 +12,7 @@ Exit codes: 0 success / verdict found, 1 precondition violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -78,6 +79,30 @@ def _emit_text(text, args):
         print(f"wrote {out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
+
+
+def _lower_bound_record(cert, manifest, **extra):
+    """The JSON record of a LowerBoundCertificate; `extra` adds fields."""
+    return {
+        "record": "lower-bound-certificate",
+        "manifest": manifest,
+        "statement": cert.statement,
+        "n": cert.n,
+        "t": cert.t,
+        "uniformity": list(cert.uniformity),
+        "bound": cert.bound,
+        "method": cert.method,
+        "host_text": cert.host_text,
+        "coloring_text": cert.coloring_text,
+        **extra,
+    }
+
+
+def _color_matrix(red):
+    """Lower triangle of a product reduction's pair colors: row v - 2
+    lists the colors of the pairs (u, v), u < v."""
+    return [[red.pair_color[(u, v)] for u in range(1, v)]
+            for v in range(2, red.n + 1)]
 
 
 def _fraction_str(frac):
@@ -161,10 +186,8 @@ def cmd_unavoidable(args):
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     inputs = {}
     hg = parse_hypergraph(_read(args.host, inputs))
-    g1_text = _read(args.g1, inputs)
-    g2_text = _read(args.g2, inputs)
-    g1 = parse_target(g1_text)
-    g2 = parse_target(g2_text)
+    g1_text, g2_text = _read(args.g1, inputs), _read(args.g2, inputs)
+    g1, g2 = parse_target(g1_text), parse_target(g2_text)
     if args.jobs > 1 and args.shard is None:
         result = unavoidable_sharded(hg, g1, g2, args.shard_bits,
                                      limit=args.limit, jobs=args.jobs)
@@ -203,21 +226,9 @@ def cmd_mt_lll(args):
               file=sys.stderr)
         return EXIT_LIMIT
     cert = lower_bound_certificate(hg, run.coloring, args.t)
-    record = {
-        "record": "lower-bound-certificate",
-        "manifest": _manifest(args, inputs, seed=args.seed),
-        "statement": cert.statement,
-        "n": cert.n,
-        "t": cert.t,
-        "uniformity": list(cert.uniformity),
-        "bound": cert.bound,
-        "method": cert.method,
-        "resamples": run.resamples,
-        "host_text": cert.host_text,
-        "coloring_text": cert.coloring_text,
-    }
+    manifest = _manifest(args, inputs, seed=args.seed)
+    record = _lower_bound_record(cert, manifest, resamples=run.resamples)
     if args.coloring_out:
-        manifest = _manifest(args, inputs, seed=args.seed)
         header = ("# coverramsey coloring\n"
                   f"# manifest: {json.dumps(manifest, sort_keys=True)}\n")
         with open(args.coloring_out, "w", encoding="utf-8") as fh:
@@ -268,9 +279,6 @@ def cmd_reduce_product(args):
     if coloring is None:
         raise ValueError("reduce-product requires a coloring file")
     red = multicolor_product_reduction(hg, coloring)
-    matrix = []
-    for v in range(2, red.n + 1):
-        matrix.append([red.pair_color[(u, v)] for u in range(1, v)])
     provenance = [[u, v, ie, label]
                   for (u, v), (ie, label) in sorted(red.provenance.items())]
     record = {
@@ -281,7 +289,7 @@ def cmd_reduce_product(args):
         "n": red.n,
         "palette_size": red.palette_size,
         "label_count": red.label_count,
-        "color_matrix_lower": matrix,
+        "color_matrix_lower": _color_matrix(red),
         "provenance": provenance,
     }
     _emit_json(record, args)
@@ -326,18 +334,7 @@ def cmd_certify_lower(args):
     if coloring is None:
         raise ValueError("certify-lower requires a coloring file")
     cert = lower_bound_certificate(hg, coloring, args.t)
-    record = {
-        "record": "lower-bound-certificate",
-        "manifest": _manifest(args, inputs),
-        "statement": cert.statement,
-        "n": cert.n,
-        "t": cert.t,
-        "uniformity": list(cert.uniformity),
-        "bound": cert.bound,
-        "method": cert.method,
-        "host_text": cert.host_text,
-        "coloring_text": cert.coloring_text,
-    }
+    record = _lower_bound_record(cert, _manifest(args, inputs))
     _emit_json(record, args)
     print(cert.statement, file=sys.stderr)
     return EXIT_OK
@@ -404,10 +401,7 @@ def _verify_product_record(record):
     hg = parse_hypergraph(record["host_text"])
     coloring = parse_coloring(record["coloring_text"], hg.num_edges)
     red = multicolor_product_reduction(hg, coloring)
-    matrix = []
-    for v in range(2, red.n + 1):
-        matrix.append([red.pair_color[(u, v)] for u in range(1, v)])
-    if matrix != record["color_matrix_lower"]:
+    if _color_matrix(red) != record["color_matrix_lower"]:
         return False, "color matrix does not reproduce"
     return True, "reduction reproduces from host and coloring"
 
@@ -456,7 +450,10 @@ def cmd_verify(args):
 # -- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use.  Subcommand handlers are
+    looked up by name when `main` dispatches, not stored in the parser."""
     parser = argparse.ArgumentParser(
         prog="coverramsey",
         description="cover Ramsey toolkit: designs, Berge detection, "
@@ -476,12 +473,10 @@ def build_parser():
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     add_common(p, fmt=False)
-    p.set_defaults(func=cmd_gen_design)
 
     p = sub.add_parser("check-covering", help="covering test for a host file")
     p.add_argument("host")
     add_common(p)
-    p.set_defaults(func=cmd_check_covering)
 
     p = sub.add_parser("find-berge", help="search for a Berge copy")
     p.add_argument("host")
@@ -489,7 +484,6 @@ def build_parser():
     p.add_argument("--coloring", help="coloring sidecar file")
     p.add_argument("--color", type=int, help="restrict to this color class")
     add_common(p, fmt=False)
-    p.set_defaults(func=cmd_find_berge)
 
     p = sub.add_parser("unavoidable",
                        help="exhaustive 2-coloring unavoidability check")
@@ -503,7 +497,6 @@ def build_parser():
     p.add_argument("--limit", type=int, default=2 ** 20,
                    help="max colorings per (sharded) search")
     add_common(p)
-    p.set_defaults(func=cmd_unavoidable)
 
     p = sub.add_parser("mt-lll",
                        help="Moser-Tardos resampling on a design host")
@@ -513,7 +506,6 @@ def build_parser():
     p.add_argument("--max-resamples", type=int, default=10 ** 6)
     p.add_argument("--coloring-out", help="also write the coloring sidecar")
     add_common(p, fmt=False)
-    p.set_defaults(func=cmd_mt_lll)
 
     p = sub.add_parser("scatter", help="sample a scattered vertex subset")
     p.add_argument("host")
@@ -523,14 +515,12 @@ def build_parser():
     p.add_argument("--trials", type=int, default=0,
                    help="also estimate the rejection rate empirically")
     add_common(p, fmt=False)
-    p.set_defaults(func=cmd_scatter)
 
     p = sub.add_parser("reduce-product",
                        help="product reduction to a multicolored K_n")
     p.add_argument("host")
     p.add_argument("coloring")
     add_common(p, fmt=False)
-    p.set_defaults(func=cmd_reduce_product)
 
     p = sub.add_parser("bound", help="evaluate a closed-form bound")
     p.add_argument("formula",
@@ -541,7 +531,6 @@ def build_parser():
     p.add_argument("--admissible", action="store_true",
                    help="restrict lll-threshold to design-admissible n")
     add_common(p)
-    p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("certify-lower",
                        help="verify a coloring and emit a lower-bound "
@@ -550,24 +539,21 @@ def build_parser():
     p.add_argument("coloring")
     p.add_argument("t", type=int)
     add_common(p, fmt=False)
-    p.set_defaults(func=cmd_certify_lower)
 
     p = sub.add_parser("verify", help="re-verify an output file standalone")
     p.add_argument("file")
     add_common(p, output=False, fmt=False)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args._argv = argv
     start = time.monotonic()
     try:
-        code = args.func(args)
+        code = globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ValueError, UnsupportedParametersError, NoValidNError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -191,6 +191,16 @@ def _lift(hg, g, embedding, pair_to_edge, coloring=None, color=None):
     return cert
 
 
+def _mono_color(pair_color, g, embedding):
+    """The one color of the embedded target's pairs; None if edgeless."""
+    vmap = dict(embedding)
+    colors = {pair_color[tuple(sorted((vmap[u], vmap[v])))]
+              for u, v in g.edges}
+    if len(colors) > 1:
+        raise ValueError(f"embedding is not monochromatic: colors {colors}")
+    return next(iter(colors), None)
+
+
 def lift_mono_subgraph(reduction, hg, g, embedding, coloring=None):
     """Lift a monochromatic (in the product palette) embedded copy of the
     target graph to a Berge certificate whose hyperedges all carry the
@@ -199,16 +209,10 @@ def lift_mono_subgraph(reduction, hg, g, embedding, coloring=None):
     When the host coloring is supplied, the certificate is additionally
     verified against that host color.
     """
-    vmap = dict(embedding)
-    colors = set()
-    for u, v in g.edges:
-        a, b = vmap[u], vmap[v]
-        colors.add(reduction.pair_color[(min(a, b), max(a, b))])
-    if len(colors) > 1:
-        raise ValueError(f"embedding is not monochromatic: colors {colors}")
+    mono = _mono_color(reduction.pair_color, g, embedding)
     host_color = None
-    if coloring is not None and colors:
-        host_color, _ = reduction.color_parts(next(iter(colors)))
+    if coloring is not None and mono is not None:
+        host_color, _ = reduction.color_parts(mono)
     pair_to_edge = {p: ie for p, (ie, _) in reduction.provenance.items()}
     return _lift(hg, g, embedding, pair_to_edge, coloring, host_color)
 
@@ -216,14 +220,7 @@ def lift_mono_subgraph(reduction, hg, g, embedding, coloring=None):
 def lift_trace_subgraph(trace, hg, g, embedding, coloring=None):
     """Lift a monochromatic embedded copy found in a trace coloring to a
     Berge certificate via the trace provenance."""
-    vmap = dict(embedding)
-    colors = set()
-    for u, v in g.edges:
-        a, b = vmap[u], vmap[v]
-        colors.add(trace.pair_color[(min(a, b), max(a, b))])
-    if len(colors) > 1:
-        raise ValueError(f"embedding is not monochromatic: colors {colors}")
-    mono = colors.pop() if colors else None
+    mono = _mono_color(trace.pair_color, g, embedding)
     return _lift(hg, g, embedding, trace.provenance, coloring, mono)
 
 

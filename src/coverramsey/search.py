@@ -8,9 +8,11 @@ lower-bound certificates.
 from __future__ import annotations
 
 import random
+from contextlib import ExitStack
 from dataclasses import dataclass
 
-from .berge import complete_graph, contains_mono_berge, find_berge
+from .berge import (BergeSearch, complete_graph, contains_mono_berge,
+                    find_berge, mono_hit)
 from .hypergraph import (EdgeColoring, check_coloring, complete_host,
                          format_coloring, format_hypergraph)
 
@@ -46,7 +48,10 @@ def unavoidable(hg, g1, g2, shard=None, limit=DEFAULT_COLORING_LIMIT):
     or a red Berge-G2.
 
     Iterates colorings in Gray-code order; the first coloring avoiding both
-    targets becomes the AVOIDABLE witness.  When g1 == g2 (and no shard is
+    targets becomes the AVOIDABLE witness.  The G1 and G2 searches are
+    built once; each step flips one edge of the red class (a bitmask) and
+    runs them on the blue and red classes, verifying any certificate
+    against that step's coloring.  When g1 == g2 (and no shard is
     given) edge 0's color is fixed to 0, since color swap is a symmetry.
     `shard`, a bit string, instead fixes the colors of the first len(shard)
     edges, letting callers partition the space into independent prefix
@@ -67,24 +72,19 @@ def unavoidable(hg, g1, g2, shard=None, limit=DEFAULT_COLORING_LIMIT):
             f"{2 ** len(free)} colorings exceed the limit {limit}; "
             f"use shards")
 
-    colors = [0] * m
-    for i, c in fixed.items():
-        colors[i] = c
-    examined = 0
-    prev_code = 0
+    colors = [fixed.get(i, 0) for i in range(m)]
+    red = sum(c << i for i, c in fixed.items())  # the color-1 edges
+    first = BergeSearch(hg, g1)
+    second = first if g2 == g1 else BergeSearch(hg, g2)
     for step in range(2 ** len(free)):
-        code = step ^ (step >> 1)
-        diff = code ^ prev_code
-        prev_code = code
-        while diff:
-            bit = diff.bit_length() - 1
-            colors[free[bit]] ^= 1
-            diff ^= 1 << bit
+        if step:  # Gray code: flip the free edge at step's lowest set bit
+            i = free[(step & -step).bit_length() - 1]
+            colors[i] ^= 1
+            red ^= 1 << i
         coloring = EdgeColoring(tuple(colors), 2)
-        examined += 1
-        if contains_mono_berge(hg, coloring, g1, g2) is None:
-            return UnavoidabilityResult(AVOIDABLE, coloring, examined, shard)
-    return UnavoidabilityResult(UNAVOIDABLE, None, examined, shard)
+        if mono_hit(first, second, coloring, red) is None:
+            return UnavoidabilityResult(AVOIDABLE, coloring, step + 1, shard)
+    return UnavoidabilityResult(UNAVOIDABLE, None, 2 ** len(free), shard)
 
 
 def shard_prefixes(bits):
@@ -101,33 +101,26 @@ def unavoidable_sharded(hg, g1, g2, bits, limit=DEFAULT_COLORING_LIMIT,
     AVOIDABLE shard, so the merged result (witness included) is identical
     whatever the worker count.
     """
+    if bits < 0:
+        raise ValueError(f"shard bits must be non-negative, got {bits}")
     prefixes = shard_prefixes(min(bits, hg.num_edges))
-    results = []
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    examined = 0
+    with ExitStack() as stack:
+        if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
             futures = [pool.submit(unavoidable, hg, g1, g2, p, limit)
                        for p in prefixes]
-            try:
-                for fut in futures:
-                    r = fut.result()
-                    results.append(r)
-                    if r.verdict == AVOIDABLE:
-                        break
-            finally:
-                for fut in futures:
-                    fut.cancel()
-    else:
-        for p in prefixes:
-            r = unavoidable(hg, g1, g2, p, limit)
-            results.append(r)
+            # runs before the pool's shutdown waits on the workers
+            stack.callback(lambda: [fut.cancel() for fut in futures])
+            results = (fut.result() for fut in futures)
+        else:
+            results = (unavoidable(hg, g1, g2, p, limit) for p in prefixes)
+        for r in results:
+            examined += r.colorings_examined
             if r.verdict == AVOIDABLE:
-                break
-    examined = sum(r.colorings_examined for r in results)
-    for r in results:
-        if r.verdict == AVOIDABLE:
-            return UnavoidabilityResult(AVOIDABLE, r.witness, examined,
-                                        f"merged[{bits}]")
+                return UnavoidabilityResult(AVOIDABLE, r.witness, examined,
+                                            f"merged[{bits}]")
     return UnavoidabilityResult(UNAVOIDABLE, None, examined,
                                 f"merged[{bits}]")
 

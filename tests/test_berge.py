@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -5,12 +6,13 @@ import pytest
 
 from coverramsey import (BergeCertificate, EdgeColoring, Hypergraph,
                          TargetGraph, complete_graph, complete_host,
-                         contains_mono_berge, cycle_graph, find_berge,
+                         construct_resolvable_bibd, contains_mono_berge,
+                         cycle_graph, design_to_hypergraph, find_berge,
                          matching_for_assignment, path_graph,
                          verify_certificate)
 from coverramsey.berge import (COLOR_FAIL, CONTAINMENT_FAIL,
                                NOT_INJECTIVE_EDGES, NOT_INJECTIVE_VERTICES,
-                               format_target, parse_target)
+                               BergeSearch, format_target, parse_target)
 
 from _oracles import (fano, naive_contains_berge, random_coloring,
                       random_hypergraph)
@@ -19,6 +21,7 @@ K3 = complete_graph(3)
 K4 = complete_graph(4)
 K5 = complete_graph(5)
 P3 = path_graph(3)
+P4 = path_graph(4)
 C4 = cycle_graph(4)
 
 
@@ -178,6 +181,84 @@ class TestFindBerge:
                 assert verify_certificate(
                     hg, g, cert,
                     coloring if color is not None else None, color)
+
+
+    @pytest.mark.parametrize("color", [2, 7, -1])
+    def test_color_outside_palette_rejected(self, color):
+        coloring = EdgeColoring((0,) * 7, 2)
+        with pytest.raises(ValueError, match="outside palette"):
+            find_berge(fano(), K3, coloring, color)
+
+
+def grid_hosts():
+    """Seeded (name, host, coloring) grid: each design host with a fair
+    and two lopsided colorings, then small random hosts."""
+    rng = random.Random(31)
+    for n, k in [(21, 3), (25, 5), (27, 3), (49, 7), (81, 3)]:
+        hg = design_to_hypergraph(construct_resolvable_bibd(n, k))
+        yield f"D({n},{k})", hg, random_coloring(rng, hg)
+        for p in (0.15, 0.3):
+            yield f"D({n},{k}) p={p}", hg, EdgeColoring(
+                tuple(int(rng.random() < p) for _ in hg.edges), 2)
+    for i in range(40):
+        hg = random_hypergraph(rng, n_max=7, m_max=12)
+        yield f"random {i}", hg, random_coloring(rng, hg)
+
+
+GRID_TARGETS = [K3, K4, K5, C4, cycle_graph(5), cycle_graph(6), P4]
+
+
+class TestBergeSearch:
+    def test_reused_search_matches_fresh_find_berge(self):
+        # one search per (host, target), run on many masks in a row: each
+        # result must equal a fresh find_berge on the matching coloring
+        rng = random.Random(404)
+        found = 0
+        for _ in range(12):
+            hg = random_hypergraph(rng, n_max=6, m_max=9)
+            for g in (P3, K3, C4, K4):
+                search = BergeSearch(hg, g)
+                for _ in range(15):
+                    mask = rng.getrandbits(hg.num_edges)
+                    coloring = EdgeColoring(tuple(
+                        (mask >> i) & 1 for i in range(hg.num_edges)), 2)
+                    got = search.run(mask)
+                    cert = find_berge(hg, g, coloring, 1)
+                    want = None if cert is None else (cert.vertex_dict(),
+                                                      cert.edge_dict())
+                    assert got == want, (hg.edges, g, mask)
+                    assert (got is not None) == naive_contains_berge(
+                        hg, g, coloring, 1)
+                    found += got is not None
+        assert 50 < found < 12 * 4 * 15 - 50
+
+    def test_certificate_hash_pinned(self):
+        # SHA-256 of every (vertex_map, edge_map) over the grid, computed
+        # with the list-based search that the bitmask search replaced
+        digest = hashlib.sha256()
+        searches = not_found = 0
+        for _, hg, coloring in grid_hosts():
+            for g in GRID_TARGETS:
+                for color in (0, 1):
+                    cert = find_berge(hg, g, coloring, color)
+                    searches += 1
+                    not_found += cert is None
+                    digest.update(repr(None if cert is None else (
+                        cert.vertex_map, cert.edge_map)).encode())
+        assert (searches, not_found) == (770, 483)
+        assert digest.hexdigest() == ("bb7de9ae90a937b7510f40cf93f506ba"
+                                      "1ff9a88d46065efee56f7329e8e6a6be")
+
+    def test_matching_for_assignment_agrees_with_search(self):
+        rng = random.Random(8)
+        for _ in range(30):
+            hg = random_hypergraph(rng, n_max=6, m_max=9)
+            mask = rng.getrandbits(hg.num_edges)
+            allowed = {i for i in range(hg.num_edges) if (mask >> i) & 1}
+            found = BergeSearch(hg, K3).run(mask)
+            if found is not None:
+                vmap, emap = found
+                assert matching_for_assignment(hg, K3, vmap, allowed) == emap
 
 
 class TestContainsMonoBerge:

@@ -93,6 +93,15 @@ class TestFindBerge:
         assert run("find-berge", files["fano"], files["k3"],
                    "--color", "0") == 1
 
+    @pytest.mark.parametrize("color", ["7", "-1"])
+    def test_color_outside_palette_exit_1(self, files, capsys, color):
+        assert run("find-berge", files["fano"], files["k3"],
+                   "--coloring", files["fano_blue"], "--color", color) == 1
+        err = capsys.readouterr().err
+        assert [ln for ln in err.splitlines() if ln.startswith("error:")] \
+            == [f"error: color {color} outside palette 0..1"]
+        assert "Traceback" not in err
+
     def test_tampered_certificate_fails_verify(self, files, capsys):
         out = files["dir"] / "cert.json"
         run("find-berge", files["fano"], files["k3"], "-o", out)
@@ -133,6 +142,14 @@ class TestUnavoidable:
         assert run("unavoidable", files["k5"], files["k3"], files["k3"],
                    "--jobs", jobs) == 1
         assert "error: --jobs must be at least 1" in capsys.readouterr().err
+
+    def test_negative_shard_bits_exit_1(self, files, capsys):
+        assert run("unavoidable", files["k5"], files["k3"], files["k3"],
+                   "--jobs", "2", "--shard-bits", "-1") == 1
+        err = capsys.readouterr().err
+        assert [ln for ln in err.splitlines() if ln.startswith("error:")] \
+            == ["error: shard bits must be non-negative, got -1"]
+        assert "Traceback" not in err
 
 
 class TestMtLllAndCertify:

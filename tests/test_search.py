@@ -7,7 +7,8 @@ from coverramsey import (AVOIDABLE, EdgeColoring, Hypergraph,
                          LimitExceededError, UNAVOIDABLE,
                          VerificationFailure, classical_ramsey_small,
                          complete_graph, complete_host, contains_mono_berge,
-                         construct_resolvable_bibd, design_to_hypergraph,
+                         construct_resolvable_bibd, cycle_graph,
+                         design_to_hypergraph,
                          find_berge, lower_bound_certificate,
                          moser_tardos_coloring, path_graph, scan_bad_events,
                          unavoidable, unavoidable_sharded,
@@ -112,6 +113,56 @@ class TestUnavoidable:
         a = unavoidable(hg, K3, K3)
         b = unavoidable(hg, K3, K3)
         assert a.witness == b.witness
+
+
+C4 = cycle_graph(4)
+P4 = path_graph(4)
+
+# (n, g1, g2): (verdict, witness, colorings_examined) of unavoidable on
+# K_n, then of unavoidable_sharded with 2 shard bits; computed with the
+# list-based Berge search that the bitmask search replaced
+PINNED = {
+    (5, "K3", "K3"): (("AVOIDABLE", "0011101100", 76),
+                      ("AVOIDABLE", "0011101100", 38)),
+    (5, "C4", "C4"): (("AVOIDABLE", "0011101100", 76),
+                      ("AVOIDABLE", "0011101100", 38)),
+    (5, "K3", "P4"): (("AVOIDABLE", "0110001100", 133),
+                      ("AVOIDABLE", "0001110100", 53)),
+    (6, "K3", "K3"): (("UNAVOIDABLE", None, 16384),
+                      ("UNAVOIDABLE", None, 32768)),
+    (6, "C4", "C4"): (("UNAVOIDABLE", None, 16384), None),
+    (6, "K3", "P4"): (("AVOIDABLE", "010010110001100", 4253),
+                      ("AVOIDABLE", "001101001001100", 1139)),
+}
+
+
+def _summary(res):
+    witness = None if res.witness is None else "".join(
+        map(str, res.witness.colors))
+    return res.verdict, witness, res.colorings_examined
+
+
+class TestPinnedVerdicts:
+    @pytest.mark.parametrize("key", sorted(PINNED),
+                             ids=lambda key: "K{}-{}-{}".format(*key))
+    def test_unavoidable_pinned(self, key):
+        n, g1, g2 = key
+        targets = {"K3": K3, "C4": C4, "P4": P4}
+        hg = complete_host(n)
+        plain, sharded = PINNED[key]
+        assert _summary(unavoidable(hg, targets[g1], targets[g2])) == plain
+        if sharded is not None:
+            res = unavoidable_sharded(hg, targets[g1], targets[g2], 2)
+            assert _summary(res) == sharded
+            assert res.shard_spec == "merged[2]"
+
+    def test_parallel_shards_pinned(self):
+        res = unavoidable_sharded(complete_host(6), K3, P4, 2, jobs=2)
+        assert _summary(res) == PINNED[(6, "K3", "P4")][1]
+
+    def test_negative_shard_bits_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            unavoidable_sharded(complete_host(4), K3, K3, -1)
 
 
 class TestClassicalRamsey:
