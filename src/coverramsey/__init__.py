@@ -6,17 +6,16 @@ constructive local-lemma resampler, and exact bound arithmetic.
 
 __version__ = "0.1.0"
 
-from .berge import (BergeCertificate, TargetGraph, complete_graph,
-                    contains_mono_berge, cycle_graph, find_berge,
-                    format_target, matching_for_assignment, parse_target,
-                    path_graph, verify_certificate)
+from .berge import (BergeCertificate, complete_graph, contains_mono_berge,
+                    cycle_graph, find_berge, matching_for_assignment,
+                    parse_target, path_graph, verify_certificate)
 from .bounds import (BoundReport, KNOWN_RAMSEY, NoValidNError,
                      asymptotic_lower, lll_inequality_holds, lll_threshold_n,
                      sufficiency_inequality_holds, thm1_upper_bound)
 from .designs import (ResolvableDesign, UnsupportedParametersError,
                       construct_resolvable_bibd, design_to_hypergraph,
                       format_design, parse_design, verify_resolvable_bibd)
-from .hypergraph import (EdgeColoring, Hypergraph, ShadowGraph, complete_host,
+from .hypergraph import (EdgeColoring, Hypergraph, complete_host,
                          format_coloring, format_hypergraph,
                          minimal_covering_subhypergraph, parse_coloring,
                          parse_hypergraph)

@@ -1,19 +1,20 @@
 """Berge subhypergraph detection and certificates.
 
-A hypergraph contains a Berge copy of a graph G when there is an injection
-of V(G) into the hypergraph vertices together with an injection of E(G)
-into the hyperedges such that each graph edge is contained in its image
-hyperedge.  Detection backtracks over the vertex injection and delegates
-the edge injection to a bipartite matching (a system of distinct
-representatives over the candidate hyperedges of each mapped pair).
+A hypergraph contains a Berge copy of a graph G (a Hypergraph with
+uniformity {2}) when there is an injection of V(G) into the hypergraph
+vertices together with an injection of E(G) into the hyperedges such that
+each graph edge is contained in its image hyperedge.  Detection backtracks
+over the vertex injection and delegates the edge injection to a bipartite
+matching (a system of distinct representatives over the candidate
+hyperedges of each mapped pair).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .hypergraph import check_coloring
+from .hypergraph import (Hypergraph, _read_edge_list, check_coloring,
+                         complete_host)
 
 NOT_INJECTIVE_VERTICES = "NOT_INJECTIVE_VERTICES"
 NOT_INJECTIVE_EDGES = "NOT_INJECTIVE_EDGES"
@@ -21,91 +22,28 @@ CONTAINMENT_FAIL = "CONTAINMENT_FAIL"
 COLOR_FAIL = "COLOR_FAIL"
 
 
-class TargetGraph:
-    """Simple graph target on vertices 1..nv; edges in canonical order."""
-
-    __slots__ = ("nv", "edges")
-
-    def __init__(self, nv, edges):
-        if nv < 0:
-            raise ValueError("vertex count must be >= 0")
-        canon = []
-        seen = set()
-        for e in edges:
-            u, v = e
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            p = (min(u, v), max(u, v))
-            if p[0] < 1 or p[1] > nv:
-                raise ValueError(f"edge {p} out of vertex range 1..{nv}")
-            if p in seen:
-                raise ValueError(f"duplicate edge {p}")
-            seen.add(p)
-            canon.append(p)
-        canon.sort()
-        object.__setattr__(self, "nv", int(nv))
-        object.__setattr__(self, "edges", tuple(canon))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TargetGraph is immutable")
-
-    def __reduce__(self):
-        return (TargetGraph, (self.nv, self.edges))
-
-    def __eq__(self, other):
-        if not isinstance(other, TargetGraph):
-            return NotImplemented
-        return self.nv == other.nv and self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.nv, self.edges))
-
-    def __repr__(self):
-        return f"TargetGraph(nv={self.nv}, edges={list(self.edges)})"
-
-    @property
-    def num_edges(self):
-        return len(self.edges)
-
-    def degrees(self):
-        deg = [0] * (self.nv + 1)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+# K_t as a Berge target is the complete 2-uniform host
+complete_graph = complete_host
 
 
-def complete_graph(t):
-    return TargetGraph(t, combinations(range(1, t + 1), 2))
+def path_graph(n):
+    """Path on n vertices (n - 1 edges)."""
+    return Hypergraph(n, ((i, i + 1) for i in range(1, n)), {2})
 
 
-def path_graph(nv):
-    """Path on nv vertices (nv - 1 edges)."""
-    return TargetGraph(nv, ((i, i + 1) for i in range(1, nv)))
-
-
-def cycle_graph(nv):
-    if nv < 3:
+def cycle_graph(n):
+    if n < 3:
         raise ValueError("cycles need at least 3 vertices")
-    edges = [(i, i + 1) for i in range(1, nv)] + [(1, nv)]
-    return TargetGraph(nv, edges)
-
-
-def format_target(g):
-    lines = [f"{g.nv} {g.num_edges}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
+    edges = [(i, i + 1) for i in range(1, n)] + [(1, n)]
+    return Hypergraph(n, edges, {2})
 
 
 def parse_target(text):
-    rows = [ln for ln in text.splitlines()
-            if ln.strip() and not ln.lstrip().startswith("#")]
-    if not rows:
-        raise ValueError("empty target graph text")
-    nv, ne = (int(x) for x in rows[0].split())
-    if len(rows) - 1 != ne:
-        raise ValueError(f"expected {ne} edge lines, found {len(rows) - 1}")
-    return TargetGraph(nv, (tuple(int(x) for x in ln.split()) for ln in rows[1:]))
+    """A target graph file: the hypergraph layout with 2-vertex edges,
+    except that an edge line may list its two vertices in either order and
+    the text need not end in a newline."""
+    n, edges = _read_edge_list(text, "target graph")
+    return Hypergraph(n, edges, {2})
 
 
 @dataclass(frozen=True)
@@ -147,8 +85,8 @@ def verify_certificate(hg, g, cert, coloring=None, color=None):
     """
     vmap = cert.vertex_dict()
     emap = cert.edge_dict()
-    if (set(vmap) != set(range(1, g.nv + 1))
-            or len(set(vmap.values())) != g.nv
+    if (set(vmap) != set(range(1, g.n + 1))
+            or len(set(vmap.values())) != g.n
             or any(not 1 <= w <= hg.n for w in vmap.values())):
         return VerifyResult(False, NOT_INJECTIVE_VERTICES)
     if (set(emap) != set(range(g.num_edges))
@@ -228,17 +166,23 @@ class BergeSearch:
     tried ascending.  A graph edge is placed with its later endpoint; its
     candidates are `pair_mask & allowed`.  A placement is pruned when an
     edge has no candidate or the placed edges fail a matching (Hall) test.
+    A target edge that is not a vertex pair is a ValueError.
     """
 
     __slots__ = ("hg", "g", "order", "incident", "pair_mask")
 
     def __init__(self, hg, g):
-        deg = g.degrees()
-        order = sorted(range(1, g.nv + 1), key=lambda v: (-deg[v], v))
+        deg = [0] * (g.n + 1)
+        for e in g.edges:
+            if len(e) != 2:
+                raise ValueError(f"target edge {e} is not a vertex pair")
+            for v in e:
+                deg[v] += 1
+        order = sorted(range(1, g.n + 1), key=lambda v: (-deg[v], v))
         pos = {v: i for i, v in enumerate(order)}
         self.hg, self.g, self.order = hg, g, order
         # incident[i]: (edge, earlier position) for edges placed at i
-        self.incident = [[] for _ in range(g.nv)]
+        self.incident = [[] for _ in range(g.n)]
         for ei, (u, v) in enumerate(g.edges):
             first, later = sorted((pos[u], pos[v]))
             self.incident[later].append((ei, first))
@@ -252,19 +196,19 @@ class BergeSearch:
         that uses only hyperedges in the `allowed` bitmask; else None."""
         g, n, incident, pair_mask = (self.g, self.hg.n, self.incident,
                                      self.pair_mask)
-        if g.nv > n or g.num_edges > allowed.bit_count():
+        if g.n > n or g.num_edges > allowed.bit_count():
             return None
         if g.num_edges == 0:
             # vacuous edge map; any injective vertex placement works
-            return {v: v for v in range(1, g.nv + 1)}, {}
-        image = [0] * g.nv
+            return {v: v for v in range(1, g.n + 1)}, {}
+        image = [0] * g.n
         used = [False] * (n + 1)
         cand = [0] * g.num_edges  # 0 while the edge is unplaced
         last = []  # the matching of the last Hall test passed
 
         def assign(i):
             nonlocal last
-            if i == g.nv:
+            if i == g.n:
                 return True
             edges = incident[i]
             for hv in range(1, n + 1):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, e, sqrt
+from math import comb, e, inf, sqrt
 
 # 2.7182818284590453 as an exact fraction; e = 2.71828182845904523536...
 E_UPPER = Fraction(27182818284590453, 10 ** 16)
@@ -165,7 +165,12 @@ def asymptotic_lower(t):
     thresholds; never used in inequality decisions."""
     if t < 1:
         raise ValueError("requires t >= 1")
-    value = (sqrt(2) / e) * t * 2 ** (t / 2)
+    try:
+        value = (sqrt(2) / e) * t * 2 ** (t / 2)
+    except OverflowError:
+        value = inf
+    if value == inf:
+        raise ValueError(f"asymptote for t={t} exceeds the float range")
     return BoundReport(
         formula_id="exp-lower-asymptote",
         inputs={"t": t},

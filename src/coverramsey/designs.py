@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _content_rows
 
 PARTITION_FAIL = "PARTITION_FAIL"
 PAIR_COUNT_FAIL = "PAIR_COUNT_FAIL"
@@ -433,8 +433,7 @@ def format_design(design):
 
 
 def parse_design(text):
-    rows = [ln for ln in text.splitlines()
-            if ln.strip() and not ln.lstrip().startswith("#")]
+    rows = _content_rows(text)
     if not rows:
         raise ValueError("empty design text")
     n, k, m = (int(x) for x in rows[0].split())

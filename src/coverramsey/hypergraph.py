@@ -4,7 +4,8 @@ and edge-minimal covering reduction.
 
 Vertices are the integers 1..n.  Edges are stored canonically (each edge an
 ascending tuple, the edge list sorted lexicographically), so equality and
-serialization are deterministic.
+serialization are deterministic.  A simple graph, such as a 2-shadow or a
+Berge target, is a Hypergraph with uniformity {2}.
 """
 
 from __future__ import annotations
@@ -101,13 +102,14 @@ class Hypergraph:
         return self._pair_edges
 
     def shadow(self):
-        """2-shadow: the simple graph whose edges are exactly the vertex
-        pairs covered by some hyperedge."""
-        return ShadowGraph(self.n, frozenset(self.pair_edges()))
+        """2-shadow: the 2-uniform hypergraph (simple graph) whose edges are
+        exactly the vertex pairs covered by some hyperedge."""
+        return Hypergraph(self.n, self.pair_edges(), {2})
 
     def is_covering(self):
         """True iff every vertex pair lies in some hyperedge (equivalently
-        the shadow is complete, equivalently the minimum co-degree is >= 1)."""
+        the shadow is covering, i.e. complete, equivalently the minimum
+        co-degree is >= 1)."""
         return len(self.pair_edges()) == self.n * (self.n - 1) // 2
 
     def codegree(self, vertex_set):
@@ -127,20 +129,6 @@ class Hypergraph:
         if len(pairs) < total:
             return 0
         return min((len(v) for v in pairs.values()), default=0)
-
-
-@dataclass(frozen=True)
-class ShadowGraph:
-    """Symmetric pair set over vertices 1..n."""
-
-    n: int
-    pairs: frozenset
-
-    def is_complete(self):
-        return len(self.pairs) == self.n * (self.n - 1) // 2
-
-    def has_pair(self, u, v):
-        return (min(u, v), max(u, v)) in self.pairs
 
 
 @dataclass(frozen=True)
@@ -175,7 +163,8 @@ def check_coloring(hg, coloring):
 
 
 def complete_host(n):
-    """K_n as a 2-uniform covering hypergraph (every pair is its own edge)."""
+    """K_n as a 2-uniform covering hypergraph (every pair is its own edge);
+    also the Berge target K_n."""
     return Hypergraph(n, combinations(range(1, n + 1), 2), uniformity={2})
 
 
@@ -204,12 +193,35 @@ def minimal_covering_subhypergraph(hg):
 # -- text formats -----------------------------------------------------------
 #
 # Hypergraph file: line 1 is "<n> <m>", then one line per edge with the
-# ascending vertex ids separated by single spaces.  Lines starting with '#'
-# are ignored.  A trailing newline is required.  Edges are canonicalized on
-# load; files written by this package are always in canonical order.
+# ascending vertex ids separated by single spaces.  Blank lines and lines
+# starting with '#' are ignored.  A trailing newline is required.  Edges are
+# canonicalized on load; files written by this package are always in
+# canonical order.  Berge target files use the same layout with 2-vertex
+# edges (see `berge.parse_target`).
 #
 # Coloring sidecar: one non-comment line of m digit characters ('0'..'9'),
 # giving the color of each edge in canonical edge order.
+
+
+def _content_rows(text):
+    """The lines of `text` that are neither blank nor '#' comments."""
+    return [ln for ln in text.splitlines()
+            if ln.strip() and not ln.lstrip().startswith("#")]
+
+
+def _read_edge_list(text, what):
+    """(n, edge tuples) of an "<n> <m>" header and its m edge lines, in
+    file order; `what` names the file kind in error messages."""
+    rows = _content_rows(text)
+    if not rows:
+        raise ValueError(f"empty {what} text")
+    head = rows[0].split()
+    if len(head) != 2:
+        raise ValueError(f"header must be '<n> <m>', got {rows[0]!r}")
+    n, m = int(head[0]), int(head[1])
+    if len(rows) - 1 != m:
+        raise ValueError(f"expected {m} edge lines, found {len(rows) - 1}")
+    return n, [tuple(int(v) for v in ln.split()) for ln in rows[1:]]
 
 
 def format_hypergraph(hg):
@@ -221,17 +233,7 @@ def format_hypergraph(hg):
 def parse_hypergraph(text, uniformity=None):
     if not text.endswith("\n"):
         raise ValueError("hypergraph text must end with a newline")
-    rows = [ln for ln in text.splitlines()
-            if ln.strip() and not ln.lstrip().startswith("#")]
-    if not rows:
-        raise ValueError("empty hypergraph text")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise ValueError(f"header must be '<n> <m>', got {rows[0]!r}")
-    n, m = int(head[0]), int(head[1])
-    if len(rows) - 1 != m:
-        raise ValueError(f"expected {m} edge lines, found {len(rows) - 1}")
-    edges = [tuple(int(v) for v in ln.split()) for ln in rows[1:]]
+    n, edges = _read_edge_list(text, "hypergraph")
     for e in edges:
         if list(e) != sorted(set(e)):
             raise ValueError(f"edge line {e} is not strictly ascending")
@@ -245,8 +247,7 @@ def format_coloring(coloring):
 
 
 def parse_coloring(text, num_edges, palette_size=2):
-    rows = [ln for ln in text.splitlines()
-            if ln.strip() and not ln.lstrip().startswith("#")]
+    rows = _content_rows(text)
     if len(rows) != 1:
         raise ValueError("coloring sidecar must contain exactly one "
                          "non-comment line")

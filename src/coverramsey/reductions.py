@@ -48,6 +48,9 @@ def _is_scattered(subset, triples):
 def sample_scattered_subset(hg, s, seed=0, max_attempts=1000):
     """Rejection-sample a uniform s-subset until every hyperedge meets it
     in at most 2 vertices; None after max_attempts rejections."""
+    if max_attempts < 0:
+        raise ValueError(f"max attempts must be non-negative, "
+                         f"got {max_attempts}")
     if not hg.is_covering():
         raise ValueError("host must be covering")
     if not 0 <= s <= hg.n:

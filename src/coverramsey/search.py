@@ -99,11 +99,15 @@ def unavoidable_sharded(hg, g1, g2, bits, limit=DEFAULT_COLORING_LIMIT,
 
     Shards are consumed in prefix order and the scan stops at the first
     AVOIDABLE shard, so the merged result (witness included) is identical
-    whatever the worker count.
+    whatever the worker count.  When g1 == g2 only the "0..." shards run:
+    the color swap maps each "1..." shard onto an earlier "0..." shard,
+    and the single shard of bit length 0 gets `unavoidable`'s edge-0 cut.
     """
     if bits < 0:
         raise ValueError(f"shard bits must be non-negative, got {bits}")
     prefixes = shard_prefixes(min(bits, hg.num_edges))
+    if g1 == g2:
+        prefixes = [p or None for p in prefixes if not p.startswith("1")]
     examined = 0
     with ExitStack() as stack:
         if jobs > 1:
@@ -237,6 +241,9 @@ def moser_tardos_coloring(hg, t, seed=0, max_resamples=10 ** 6):
     one.  The returned coloring (when found) scans clean, i.e. the host
     has no monochromatic Berge-K_t under it.  Deterministic per seed.
     """
+    if max_resamples < 0:
+        raise ValueError(f"max resamples must be non-negative, "
+                         f"got {max_resamples}")
     rng = random.Random(seed)
     colors = [rng.randrange(2) for _ in range(hg.num_edges)]
     trace = []

@@ -22,7 +22,7 @@ def naive_contains_berge(hg, g, coloring=None, color=None):
     allowed = set(range(hg.num_edges))
     if coloring is not None and color is not None:
         allowed = {i for i in allowed if coloring.colors[i] == color}
-    if g.num_edges > len(allowed) or g.nv > hg.n:
+    if g.num_edges > len(allowed) or g.n > hg.n:
         return False
     if g.num_edges == 0:
         return True
@@ -42,8 +42,8 @@ def naive_contains_berge(hg, g, coloring=None, color=None):
             used.discard(h)
         return False
 
-    for image in permutations(range(1, hg.n + 1), g.nv):
-        vmap = {gv: image[gv - 1] for gv in range(1, g.nv + 1)}
+    for image in permutations(range(1, hg.n + 1), g.n):
+        vmap = {gv: image[gv - 1] for gv in range(1, g.n + 1)}
         if assign_edges(0, set(), vmap):
             return True
     return False

@@ -5,14 +5,14 @@ from itertools import combinations
 import pytest
 
 from coverramsey import (BergeCertificate, EdgeColoring, Hypergraph,
-                         TargetGraph, complete_graph, complete_host,
+                         complete_graph, complete_host,
                          construct_resolvable_bibd, contains_mono_berge,
                          cycle_graph, design_to_hypergraph, find_berge,
-                         matching_for_assignment, path_graph,
-                         verify_certificate)
+                         format_hypergraph, matching_for_assignment,
+                         path_graph, verify_certificate)
 from coverramsey.berge import (COLOR_FAIL, CONTAINMENT_FAIL,
                                NOT_INJECTIVE_EDGES, NOT_INJECTIVE_VERTICES,
-                               BergeSearch, format_target, parse_target)
+                               BergeSearch, parse_target)
 
 from _oracles import (fano, naive_contains_berge, random_coloring,
                       random_hypergraph)
@@ -74,7 +74,7 @@ class TestMatchingForAssignment:
         assert matching_for_assignment(fano(), K3, {1: 1, 2: 2, 3: 3}) is None
 
     def test_empty_target_matches_vacuously(self):
-        g = TargetGraph(2, [])
+        g = Hypergraph(2, [], {2})
         assert matching_for_assignment(fano(), g, {1: 1, 2: 2}) == {}
 
     def test_allowed_restriction(self):
@@ -122,7 +122,7 @@ class TestFindBerge:
         assert find_berge(hg, K3, coloring, 0) is None
 
     def test_empty_target_embeds(self):
-        cert = find_berge(fano(), TargetGraph(3, []))
+        cert = find_berge(fano(), Hypergraph(3, [], {2}))
         assert cert is not None and cert.edge_map == ()
 
     def test_too_many_target_vertices(self):
@@ -301,11 +301,11 @@ class TestContainsMonoBerge:
 class TestTargetGraph:
     def test_loop_rejected(self):
         with pytest.raises(ValueError):
-            TargetGraph(3, [(1, 1)])
+            Hypergraph(3, [(1, 1)], {2})
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(ValueError):
-            TargetGraph(3, [(1, 2), (2, 1)])
+            Hypergraph(3, [(1, 2), (2, 1)], {2})
 
     def test_builders(self):
         assert complete_graph(4).num_edges == 6
@@ -313,5 +313,21 @@ class TestTargetGraph:
         assert cycle_graph(4).num_edges == 4
 
     def test_text_round_trip(self):
-        for g in (K3, K4, P3, C4, TargetGraph(3, [])):
-            assert parse_target(format_target(g)) == g
+        for g in (K3, K4, P3, C4, Hypergraph(3, [], {2})):
+            assert parse_target(format_hypergraph(g)) == g
+
+    def test_parse_is_lenient_on_order_and_final_newline(self):
+        text = "# a 4-cycle\n4 4\n1 2\n3 2\n\n3 4\n4 1"
+        assert parse_target(text) == cycle_graph(4)
+
+    def test_bad_header_is_reported(self):
+        with pytest.raises(ValueError, match="header must be '<n> <m>'"):
+            parse_target("3\n")
+
+    def test_complete_graph_is_complete_host(self):
+        assert complete_graph(5) == complete_host(5)
+        assert complete_host(6).shadow() == complete_graph(6)
+
+    def test_non_pair_target_edge_rejected(self):
+        with pytest.raises(ValueError, match="not a vertex pair"):
+            find_berge(fano(), Hypergraph(3, [(1, 2, 3)], {3}))

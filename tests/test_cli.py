@@ -3,7 +3,7 @@ import json
 import pytest
 
 from coverramsey import (complete_graph, complete_host, format_hypergraph,
-                         format_target, parse_design)
+                         parse_design)
 from coverramsey.cli import main
 
 from _oracles import fano
@@ -19,9 +19,9 @@ def files(tmp_path):
     paths["k6"] = tmp_path / "k6.hg"
     paths["k6"].write_text(format_hypergraph(complete_host(6)))
     paths["k3"] = tmp_path / "k3.g"
-    paths["k3"].write_text(format_target(complete_graph(3)))
+    paths["k3"].write_text(format_hypergraph(complete_graph(3)))
     paths["k4"] = tmp_path / "k4.g"
-    paths["k4"].write_text(format_target(complete_graph(4)))
+    paths["k4"].write_text(format_hypergraph(complete_graph(4)))
     paths["fano_blue"] = tmp_path / "fano_blue.col"
     paths["fano_blue"].write_text("0000000\n")
     paths["dir"] = tmp_path
@@ -30,6 +30,13 @@ def files(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def error_lines(capsys):
+    """The `error:` lines on stderr; fails on a traceback."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return [ln for ln in err.splitlines() if ln.startswith("error:")]
 
 
 class TestGenDesign:
@@ -78,7 +85,7 @@ class TestFindBerge:
 
     def test_absent_result(self, files, capsys):
         k5t = files["dir"] / "k5t.g"
-        k5t.write_text(format_target(complete_graph(5)))
+        k5t.write_text(format_hypergraph(complete_graph(5)))
         assert run("find-berge", files["fano"], k5t) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["found"] is False
@@ -191,6 +198,14 @@ class TestMtLllAndCertify:
         assert (a.read_text().replace(str(a), "OUT")
                 == b.read_text().replace(str(b), "OUT"))
 
+    def test_negative_max_resamples_exit_1(self, files, capsys):
+        out = files["dir"] / "lb.json"
+        assert run("mt-lll", files["fano"], "3", "--max-resamples", "-1",
+                   "-o", out) == 1
+        assert error_lines(capsys) == [
+            "error: max resamples must be non-negative, got -1"]
+        assert not out.exists()
+
 
 class TestScatter:
     def test_sample_found(self, files, capsys):
@@ -210,6 +225,14 @@ class TestScatter:
         assert run("scatter", files["fano"], "3", "--trials", "-1",
                    "-o", out) == 1
         assert "error: trials must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_max_attempts_exit_1(self, files, capsys):
+        out = files["dir"] / "scatter.json"
+        assert run("scatter", files["fano"], "3", "--max-attempts", "-3",
+                   "-o", out) == 1
+        assert error_lines(capsys) == [
+            "error: max attempts must be non-negative, got -3"]
         assert not out.exists()
 
     def test_record_verifies(self, files, capsys):
@@ -249,6 +272,12 @@ class TestBound:
     def test_asym(self, files, capsys):
         assert run("bound", "asym", "20") == 0
         assert "10654.9" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("t", ["2030", "2100"])
+    def test_asym_beyond_float_range_exit_1(self, files, capsys, t):
+        assert run("bound", "asym", t) == 1
+        assert error_lines(capsys) == [
+            f"error: asymptote for t={t} exceeds the float range"]
 
     def test_wrong_arity_exit_1(self, files):
         assert run("bound", "lll", "10") == 1

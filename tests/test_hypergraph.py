@@ -14,7 +14,7 @@ from _oracles import fano, random_hypergraph
 class TestShadow:
     def test_single_edge_gives_triangle(self):
         hg = Hypergraph(3, [(1, 2, 3)])
-        assert hg.shadow().pairs == {(1, 2), (1, 3), (2, 3)}
+        assert set(hg.shadow().edges) == {(1, 2), (1, 3), (2, 3)}
 
     def test_fano_shadow_is_k7(self):
         # oracle: check all 21 pairs against the 7 lines directly
@@ -22,13 +22,13 @@ class TestShadow:
         expected = {p for p in combinations(range(1, 8), 2)
                     if any(set(p) <= set(line) for line in hg.edges)}
         assert len(expected) == 21
-        assert hg.shadow().pairs == frozenset(expected)
-        assert hg.shadow().is_complete()
+        assert set(hg.shadow().edges) == frozenset(expected)
+        assert hg.shadow().is_covering()
 
     def test_no_edges_no_pairs(self):
         hg = Hypergraph(4, [])
-        assert hg.shadow().pairs == frozenset()
-        assert not hg.shadow().is_complete()
+        assert set(hg.shadow().edges) == frozenset()
+        assert not hg.shadow().is_covering()
 
 
 class TestCovering:
@@ -48,7 +48,7 @@ class TestCovering:
         for _ in range(200):
             hg = random_hypergraph(rng)
             covering = hg.is_covering()
-            assert covering == hg.shadow().is_complete()
+            assert covering == hg.shadow().is_covering()
             assert covering == (hg.min_codegree() >= 1)
 
 

@@ -106,7 +106,9 @@ class TestUnavoidable:
         hg = complete_host(3)
         merged = unavoidable_sharded(hg, P3, P3, 2)
         assert merged.verdict == UNAVOIDABLE
-        assert merged.colorings_examined == 8  # 4 shards x 2 free edges / ...
+        # the two "0..." shards leave 1 free edge each: 2 x 2 colorings,
+        # the same count as the unsharded search with edge 0 fixed
+        assert merged.colorings_examined == 4
 
     def test_gray_code_first_witness_is_deterministic(self):
         hg = complete_host(5)
@@ -120,7 +122,8 @@ P4 = path_graph(4)
 
 # (n, g1, g2): (verdict, witness, colorings_examined) of unavoidable on
 # K_n, then of unavoidable_sharded with 2 shard bits; computed with the
-# list-based Berge search that the bitmask search replaced
+# list-based Berge search that the bitmask search replaced, except that a
+# sharded g1 == g2 search now skips the color-swapped "1..." shards
 PINNED = {
     (5, "K3", "K3"): (("AVOIDABLE", "0011101100", 76),
                       ("AVOIDABLE", "0011101100", 38)),
@@ -129,7 +132,7 @@ PINNED = {
     (5, "K3", "P4"): (("AVOIDABLE", "0110001100", 133),
                       ("AVOIDABLE", "0001110100", 53)),
     (6, "K3", "K3"): (("UNAVOIDABLE", None, 16384),
-                      ("UNAVOIDABLE", None, 32768)),
+                      ("UNAVOIDABLE", None, 16384)),
     (6, "C4", "C4"): (("UNAVOIDABLE", None, 16384), None),
     (6, "K3", "P4"): (("AVOIDABLE", "010010110001100", 4253),
                       ("AVOIDABLE", "001101001001100", 1139)),
@@ -164,6 +167,21 @@ class TestPinnedVerdicts:
         with pytest.raises(ValueError, match="non-negative"):
             unavoidable_sharded(complete_host(4), K3, K3, -1)
 
+    @pytest.mark.parametrize("bits", [0, 1, 2])
+    def test_same_target_shards_count_as_unsharded(self, bits):
+        # R(P4, P4) = 5; both runs see each coloring with edge 0 blue once
+        hg = complete_host(5)
+        plain = unavoidable(hg, P4, P4)
+        merged = unavoidable_sharded(hg, P4, P4, bits)
+        assert plain.verdict == merged.verdict == UNAVOIDABLE
+        assert merged.colorings_examined == plain.colorings_examined == 2 ** 9
+
+    def test_zero_bits_is_the_unsharded_search(self):
+        hg = complete_host(5)
+        merged = unavoidable_sharded(hg, K3, K3, 0)
+        assert _summary(merged) == PINNED[(5, "K3", "K3")][0]
+        assert merged.shard_spec == "merged[0]"
+
 
 class TestClassicalRamsey:
     def test_p3_vs_p3_is_3(self):
@@ -185,9 +203,8 @@ class TestClassicalRamsey:
         assert classical_ramsey_small(c4, c4, 7) == 6
 
     def test_empty_target_rejected(self):
-        from coverramsey import TargetGraph
         with pytest.raises(ValueError):
-            classical_ramsey_small(TargetGraph(2, []), K3, 4)
+            classical_ramsey_small(Hypergraph(2, [], {2}), K3, 4)
 
 
 class TestScanBadEvents:
