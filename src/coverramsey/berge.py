@@ -272,14 +272,8 @@ def contains_mono_berge(hg, coloring, g1, g2):
     check_coloring(hg, coloring)
     first = BergeSearch(hg, g1)
     second = first if g2 == g1 else BergeSearch(hg, g2)
-    return mono_hit(first, second, coloring, _mask(coloring.indices_of(1)))
-
-
-def mono_hit(first, second, coloring, red):
-    """`contains_mono_berge` with the G1 and G2 searches built and the red
-    (color 1) class given as a bitmask; the other hyperedges are blue."""
-    blue = red ^ ((1 << len(coloring)) - 1)
-    for color, search, allowed in ((0, first, blue), (1, second, red)):
+    for color, search in ((0, first), (1, second)):
+        allowed = _mask(coloring.indices_of(color))
         cert = search.certificate(allowed, coloring, color)
         if cert is not None:
             return (color, cert)

@@ -11,8 +11,8 @@ import random
 from contextlib import ExitStack
 from dataclasses import dataclass
 
-from .berge import (BergeSearch, complete_graph, contains_mono_berge,
-                    find_berge, mono_hit)
+from .berge import (BergeCertificate, BergeSearch, complete_graph,
+                    contains_mono_berge, find_berge, verify_certificate)
 from .hypergraph import (EdgeColoring, check_coloring, complete_host,
                          format_coloring, format_hypergraph)
 
@@ -43,20 +43,37 @@ class UnavoidabilityResult:
     shard_spec: str | None = None
 
 
+def _check_limit(limit):
+    if limit < 1:
+        raise ValueError(f"coloring limit must be at least 1, got {limit}")
+
+
 def unavoidable(hg, g1, g2, shard=None, limit=DEFAULT_COLORING_LIMIT):
     """Decide whether every 2-coloring of the host contains a blue Berge-G1
     or a red Berge-G2.
 
-    Iterates colorings in Gray-code order; the first coloring avoiding both
-    targets becomes the AVOIDABLE witness.  The G1 and G2 searches are
-    built once; each step flips one edge of the red class (a bitmask) and
-    runs them on the blue and red classes, verifying any certificate
-    against that step's coloring.  When g1 == g2 (and no shard is
-    given) edge 0's color is fixed to 0, since color swap is a symmetry.
-    `shard`, a bit string, instead fixes the colors of the first len(shard)
-    edges, letting callers partition the space into independent prefix
-    shards.  Raises LimitExceededError if the free space exceeds `limit`.
+    Colorings are visited in binary reflected Gray-code order over the free
+    edges (step s gives free edge j the color of bit j of s ^ (s >> 1));
+    the first coloring avoiding both targets becomes the AVOIDABLE witness.
+    That order is a depth-first search: free edges are colored from the
+    last down, and each node first tries the color equal to the XOR of the
+    colors set so far.  Containing a Berge target is monotone in a color
+    class, so a node is cut, with its whole subtree, as soon as the edge it
+    colors blue gives the blue class a Berge-G1 (or, colored red, gives the
+    red class a Berge-G2); the root checks both classes of the fixed edges.
+    Every cut asserts its certificate against the completion that gives
+    each unset edge the other color.  The G1 and G2 searches are built once.
+
+    `colorings_examined` is the Gray-code position of the witness plus
+    one, or every free coloring when UNAVOIDABLE: the count the plain
+    enumeration would make.  When g1 == g2 (and no shard is given) edge
+    0's color is fixed to 0, since color swap is a symmetry.  `shard`, a
+    bit string, instead fixes the colors of the first len(shard) edges,
+    letting callers partition the space into independent prefix shards.
+    Raises ValueError if `limit` < 1 and LimitExceededError if the free
+    space exceeds `limit`.
     """
+    _check_limit(limit)
     m = hg.num_edges
     fixed = {}
     if shard is not None:
@@ -72,18 +89,53 @@ def unavoidable(hg, g1, g2, shard=None, limit=DEFAULT_COLORING_LIMIT):
             f"{2 ** len(free)} colorings exceed the limit {limit}; "
             f"use shards")
 
-    colors = [fixed.get(i, 0) for i in range(m)]
-    red = sum(c << i for i, c in fixed.items())  # the color-1 edges
     first = BergeSearch(hg, g1)
-    second = first if g2 == g1 else BergeSearch(hg, g2)
-    for step in range(2 ** len(free)):
-        if step:  # Gray code: flip the free edge at step's lowest set bit
-            i = free[(step & -step).bit_length() - 1]
-            colors[i] ^= 1
-            red ^= 1 << i
-        coloring = EdgeColoring(tuple(colors), 2)
-        if mono_hit(first, second, coloring, red) is None:
-            return UnavoidabilityResult(AVOIDABLE, coloring, step + 1, shard)
+    searches = (first, first if g2 == g1 else BergeSearch(hg, g2))
+
+    def coloring(red):
+        return EdgeColoring(tuple((red >> i) & 1 for i in range(m)), 2)
+
+    def holds(color, allowed, red):
+        """Whether the color class `allowed` holds its target; a copy is
+        asserted against the coloring whose red class is `red`."""
+        search = searches[color]
+        found = search.run(allowed)
+        if found is None:
+            return False
+        cert = BergeCertificate.from_dicts(*found)
+        assert verify_certificate(hg, search.g, cert, coloring(red), color)
+        return True
+
+    # unset[j]: the free edges still uncolored once free[j] is colored
+    unset = [sum(1 << i for i in free[:j]) for j in range(len(free) + 1)]
+
+    def visit(j, blue, red, s):
+        """(position, red class) of the first surviving leaf below the node
+        where free[j + 1:] are colored, or None.  `s` holds the position's
+        bits above j; its low bit is the XOR of the colors set so far."""
+        if j < 0:
+            return s, red
+        bit = 1 << free[j]
+        for step, color in enumerate((s & 1, s & 1 ^ 1)):
+            if color:
+                cut = holds(1, red | bit, red | bit)
+                child = blue, red | bit
+            else:
+                cut = holds(0, blue | bit, red | unset[j])
+                child = blue | bit, red
+            leaf = None if cut else visit(j - 1, *child, s << 1 | step)
+            if leaf is not None:
+                return leaf
+        return None
+
+    red = sum(c << i for i, c in fixed.items())  # the color-1 edges
+    blue = sum(1 << i for i, c in fixed.items() if not c)
+    if not (holds(0, blue, red | unset[-1]) or holds(1, red, red)):
+        leaf = visit(len(free) - 1, blue, red, 0)
+        if leaf is not None:
+            s, red = leaf
+            return UnavoidabilityResult(AVOIDABLE, coloring(red), s + 1,
+                                        shard)
     return UnavoidabilityResult(UNAVOIDABLE, None, 2 ** len(free), shard)
 
 
@@ -105,6 +157,7 @@ def unavoidable_sharded(hg, g1, g2, bits, limit=DEFAULT_COLORING_LIMIT,
     """
     if bits < 0:
         raise ValueError(f"shard bits must be non-negative, got {bits}")
+    _check_limit(limit)
     prefixes = shard_prefixes(min(bits, hg.num_edges))
     if g1 == g2:
         prefixes = [p or None for p in prefixes if not p.startswith("1")]

@@ -63,6 +63,31 @@ def naive_unavoidable(hg, g1, g2):
     return True, None
 
 
+def gray_unavoidable(hg, g1, g2, shard=None):
+    """The Gray-code enumeration that `unavoidable` reproduces, on the
+    naive presence check.  Edge 0 is fixed blue when g1 == g2, a shard
+    prefix fixes the leading edges, and step s colors free edge j with bit
+    j of s ^ (s >> 1).  Returns (verdict, witness colors or None,
+    colorings examined), the first avoiding coloring being the witness."""
+    m = hg.num_edges
+    fixed = {}
+    if shard is not None:
+        fixed = {i: int(ch) for i, ch in enumerate(shard)}
+    elif g1 == g2 and m > 0:
+        fixed = {0: 0}
+    free = [i for i in range(m) if i not in fixed]
+    for step in range(2 ** len(free)):
+        gray = step ^ (step >> 1)
+        colors = [fixed.get(i, 0) for i in range(m)]
+        for j, i in enumerate(free):
+            colors[i] = (gray >> j) & 1
+        coloring = EdgeColoring(tuple(colors), 2)
+        if not (naive_contains_berge(hg, g1, coloring, 0)
+                or naive_contains_berge(hg, g2, coloring, 1)):
+            return "AVOIDABLE", tuple(colors), step + 1
+    return "UNAVOIDABLE", None, 2 ** len(free)
+
+
 def random_hypergraph(rng, n_max=6, m_max=8, k_max=4):
     """Random small hypergraph: n in 2..n_max, up to m_max distinct edges
     of sizes 2..min(k_max, n)."""

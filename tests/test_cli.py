@@ -140,6 +140,16 @@ class TestUnavoidable:
         assert run("unavoidable", files["k5"], files["k3"], files["k3"],
                    "--limit", "4") == 2
 
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_non_positive_limit_exit_1(self, files, capsys, limit, jobs):
+        assert run("unavoidable", files["k5"], files["k3"], files["k3"],
+                   "--limit", limit, "--jobs", jobs) == 1
+        err = capsys.readouterr().err
+        assert [ln for ln in err.splitlines() if ln.startswith("error:")] \
+            == [f"error: coloring limit must be at least 1, got {limit}"]
+        assert "limit exceeded" not in err and "Traceback" not in err
+
     def test_k6_unavoidable(self, files, capsys):
         assert run("unavoidable", files["k6"], files["k3"], files["k3"]) == 0
         assert "UNAVOIDABLE" in capsys.readouterr().out

@@ -13,10 +13,12 @@ from coverramsey import (AVOIDABLE, EdgeColoring, Hypergraph,
                          moser_tardos_coloring, path_graph, scan_bad_events,
                          unavoidable, unavoidable_sharded,
                          verify_certificate)
+import coverramsey.search
+from coverramsey.berge import BergeSearch
 from coverramsey.search import shard_prefixes
 
-from _oracles import (fano, naive_bad_events, naive_unavoidable,
-                      random_hypergraph)
+from _oracles import (fano, gray_unavoidable, naive_bad_events,
+                      naive_unavoidable, random_hypergraph)
 
 K2 = complete_graph(2)
 K3 = complete_graph(3)
@@ -76,6 +78,21 @@ class TestUnavoidable:
         if res.witness is not None:
             assert res.witness.colors[0] == 1
             assert res.witness.colors[1] == 0
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_non_positive_limit_rejected(self, monkeypatch, limit):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
+        with pytest.raises(ValueError, match="at least 1"):
+            unavoidable(complete_host(3), K3, K3, limit=limit)
+        with pytest.raises(ValueError, match="at least 1"):
+            unavoidable_sharded(complete_host(3), K3, K3, 1, limit=limit,
+                                jobs=2)
 
     def test_bad_shard_rejected(self):
         with pytest.raises(ValueError):
@@ -181,6 +198,54 @@ class TestPinnedVerdicts:
         merged = unavoidable_sharded(hg, K3, K3, 0)
         assert _summary(merged) == PINNED[(5, "K3", "K3")][0]
         assert merged.shard_spec == "merged[0]"
+
+
+class TestPrunedSearch:
+    def test_matches_gray_code_oracle(self):
+        # the pruned search visits colorings in the plain Gray-code order,
+        # so verdict, witness and count all equal the enumeration's
+        rng = random.Random(2024)
+        targets = [P3, K3, P4, C4]
+        verdicts = set()
+        for _ in range(150):
+            hg = random_hypergraph(rng, n_max=5, m_max=9)
+            g1 = rng.choice(targets)
+            g2 = g1 if rng.random() < 0.3 else rng.choice(targets)
+            for shard in (None, "", "0", "1", "10"):
+                if shard is not None and len(shard) > hg.num_edges:
+                    continue
+                want = gray_unavoidable(hg, g1, g2, shard)
+                res = unavoidable(hg, g1, g2, shard)
+                witness = None if res.witness is None else res.witness.colors
+                assert (res.verdict, witness, res.colorings_examined) \
+                    == want, (hg.edges, g1.edges, g2.edges, shard)
+                verdicts.add(res.verdict)
+        assert verdicts == {AVOIDABLE, UNAVOIDABLE}
+
+    @pytest.mark.parametrize("target", [K3, C4], ids=["K3", "C4"])
+    def test_cuts_save_berge_searches(self, monkeypatch, target):
+        runs, checks = [], []
+        run = BergeSearch.run
+        verify = coverramsey.search.verify_certificate
+
+        def counted_run(self, allowed):
+            runs.append(allowed)
+            return run(self, allowed)
+
+        def recorded_verify(*args):
+            checks.append(bool(verify(*args)))
+            return checks[-1]
+
+        monkeypatch.setattr(BergeSearch, "run", counted_run)
+        monkeypatch.setattr(coverramsey.search, "verify_certificate",
+                            recorded_verify)
+        res = unavoidable(complete_host(6), target, target)
+        assert res.verdict == UNAVOIDABLE
+        assert res.colorings_examined == 2 ** 14
+        # 520 (K3) and 1472 (C4) runs measured; enumerating the colorings
+        # one by one runs one or two searches on each
+        assert len(runs) <= res.colorings_examined // 10
+        assert checks and all(checks)
 
 
 class TestClassicalRamsey:
