@@ -12,6 +12,7 @@ Exit codes: 0 success / verdict found, 1 precondition violation,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -83,19 +84,8 @@ def _emit_text(text, args):
 
 def _lower_bound_record(cert, manifest, **extra):
     """The JSON record of a LowerBoundCertificate; `extra` adds fields."""
-    return {
-        "record": "lower-bound-certificate",
-        "manifest": manifest,
-        "statement": cert.statement,
-        "n": cert.n,
-        "t": cert.t,
-        "uniformity": list(cert.uniformity),
-        "bound": cert.bound,
-        "method": cert.method,
-        "host_text": cert.host_text,
-        "coloring_text": cert.coloring_text,
-        **extra,
-    }
+    return {"record": "lower-bound-certificate", "manifest": manifest,
+            **dataclasses.asdict(cert), **extra}
 
 
 def _color_matrix(red):
@@ -343,19 +333,33 @@ def cmd_certify_lower(args):
 # -- verify -------------------------------------------------------------------
 
 
+def _mismatch(record, recomputed):
+    """A message naming the first field of `recomputed` whose recorded
+    value differs, or None.  Values are compared as JSON, so 5.0 or true
+    does not pass for 5 or 1."""
+    for field, value in recomputed.items():
+        if json.dumps(record[field]) != json.dumps(value):
+            return (f"{field} mismatch: recomputed {value!r}, recorded "
+                    f"{record[field]!r}")
+    return None
+
+
 def _verify_berge_record(record):
     hg = parse_hypergraph(record["host_text"])
     target = parse_target(record["target_text"])
+    if (record.get("color") is None) != ("coloring_text" not in record):
+        raise ValueError("malformed berge-certificate record: 'color' and "
+                         "'coloring_text' must be given together")
     if not record.get("found"):
         return True, "record claims absence; nothing to re-verify"
     cert = BergeCertificate(
         tuple(tuple(p) for p in record["vertex_map"]),
         tuple(tuple(p) for p in record["edge_map"]))
     coloring = None
-    color = record.get("color")
     if "coloring_text" in record:
         coloring = parse_coloring(record["coloring_text"], hg.num_edges)
-    result = verify_certificate(hg, target, cert, coloring, color)
+    result = verify_certificate(hg, target, cert, coloring,
+                                record.get("color"))
     return bool(result), result.reason or "certificate verifies"
 
 
@@ -366,9 +370,10 @@ def _verify_lower_bound_record(record):
         cert = lower_bound_certificate(hg, coloring, record["t"])
     except VerificationFailure as exc:
         return False, str(exc)
-    if cert.statement != record["statement"]:
-        return False, (f"statement mismatch: recomputed {cert.statement!r}, "
-                       f"recorded {record['statement']!r}")
+    fields = ("n", "t", "uniformity", "bound", "method", "statement")
+    problem = _mismatch(record, {f: getattr(cert, f) for f in fields})
+    if problem:
+        return False, problem
     return True, cert.statement
 
 
@@ -388,9 +393,19 @@ def _verify_unavoidability_record(record):
 
 def _verify_scatter_record(record):
     hg = parse_hypergraph(record["host_text"])
+    s, k = record["s"], hg.max_edge_size
+    bound = scatter_failure_bound(hg.n, s, k)
+    problem = _mismatch(record, {"k": k,
+                                 "failure_bound": _fraction_str(bound),
+                                 "failure_bound_float": float(bound)})
+    if problem:
+        return False, problem
     if not record.get("found"):
         return True, "record claims absence; nothing to re-verify"
     subset = set(record["subset"])
+    if (len(record["subset"]) != s or len(subset) != s
+            or any(type(v) is not int or not 1 <= v <= hg.n for v in subset)):
+        return False, f"subset is not {s} distinct vertices in 1..{hg.n}"
     worst = max(len(subset.intersection(e)) for e in hg.edges)
     if worst > 2:
         return False, f"some hyperedge meets the subset in {worst} vertices"

@@ -5,19 +5,19 @@ Ramsey lower-bound host.
 
 Implemented families:
 
-* n = k^2 for prime-power k: the affine plane of order k, with the k + 1
-  pencils of parallel lines as classes.
-* k = 3, n = 3^d: lines of the d-dimensional affine space over GF(3),
-  grouped by direction.
+* n = k^d for prime-power k and d >= 1: the lines of the d-dimensional
+  affine space AG(d, k), one parallel class per direction.  This covers
+  the one-block designs (d = 1), the affine planes (d = 2) and the
+  one-factorizations of K_{2^d} (k = 2).
 * k = 3, n = 15: a fixed verified system (found once by exhaustive
   backtracking; frozen below).
-* k = 3, n = 3q for q = 1 (mod 6), 7 <= q <= 25: a direct construction
-  with Z_q acting by translation.  One block orbit forms a class that
-  develops into q classes; the remaining 3t classes (q = 6t + 1) are
-  orbits of transversal base blocks.  Pure same-level pairs are covered by
-  difference triples partitioning the difference classes of Z_q.  The
-  transversal data was found once by backtracking and is stored below, not
-  searched for; the designs built from it are still verified.
+* k = 3, n = 3q for q in {7, 13, 19, 25} (q = 6t + 1): a direct
+  construction with Z_q acting by translation.  One block orbit forms a
+  class that develops into q classes; the remaining 3t classes are orbits
+  of transversal base blocks.  Pure same-level pairs are covered by t
+  disjoint triples whose differences partition the difference classes of
+  Z_q.  All of this data was found once by backtracking and is stored
+  below, not searched for; the designs built from it are still verified.
 
 Anything else raises UnsupportedParametersError; the verifier accepts
 arbitrary candidate designs.
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .hypergraph import Hypergraph, _content_rows
+from .hypergraph import Hypergraph, _content_rows, _header
 
 PARTITION_FAIL = "PARTITION_FAIL"
 PAIR_COUNT_FAIL = "PAIR_COUNT_FAIL"
@@ -217,54 +217,28 @@ def _prime_power(q):
     return q, 1
 
 
-def _affine_plane_classes(q):
-    """Parallel classes of AG(2, q): slope classes then the vertical class.
-    Point (x, y) gets id 1 + x*q + y."""
+def _affine_classes(q, d):
+    """Parallel classes of AG(d, q), one per direction.  Point
+    (c_0, ..., c_{d-1}) gets id 1 + sum c_i q^i.  The directions are the
+    vectors whose top nonzero coordinate is 1, in ascending id order; each
+    class lists its lines in ascending order."""
     gf = _GF(q)
-    pid = lambda x, y: 1 + x * q + y
+    vecs = [tuple(a // q ** i % q for i in range(d)) for a in range(q ** d)]
+    pid = {v: a + 1 for a, v in enumerate(vecs)}
     classes = []
-    for m in range(q):
-        cls = []
-        for b in range(q):
-            line = sorted(pid(x, gf.add[gf.mul[m][x]][b]) for x in range(q))
-            cls.append(tuple(line))
-        classes.append(tuple(sorted(cls)))
-    vertical = tuple(sorted(tuple(pid(a, y) for y in range(q))
-                            for a in range(q)))
-    classes.append(vertical)
-    return classes
-
-
-def _affine_space_gf3_classes(d):
-    """Lines of AG(d, 3) grouped by direction.  Point ids follow base-3
-    encoding of the coordinate vector."""
-    n = 3 ** d
-    pid = lambda vec: 1 + sum(c * 3 ** i for i, c in enumerate(vec))
-    coords = []
-    for a in range(n):
-        vec, v = [], a
-        for _ in range(d):
-            vec.append(v % 3)
-            v //= 3
-        coords.append(tuple(vec))
-    directions = [v for v in coords[1:]
-                  if next(c for c in v if c) == 1]  # canonical rep of +/-v
-    classes = []
-    for v in directions:
-        seen = set()
-        cls = []
-        for base in coords:
+    for v in vecs[1:]:
+        if next(c for c in reversed(v) if c) != 1:
+            continue
+        ray = [tuple(gf.mul[t][c] for c in v) for t in range(q)]
+        seen, cls = set(), []
+        for base in vecs:  # ascending, so each line starts at its base
             if base in seen:
                 continue
-            line = []
-            pt = base
-            for _ in range(3):
-                line.append(pt)
-                seen.add(pt)
-                pt = tuple((a + b) % 3 for a, b in zip(pt, v))
-            cls.append(tuple(sorted(pid(p) for p in line)))
-        classes.append(tuple(sorted(cls)))
-    return sorted(classes)
+            line = [tuple(gf.add[b][c] for b, c in zip(base, r)) for r in ray]
+            seen.update(line)
+            cls.append(tuple(sorted(pid[p] for p in line)))
+        classes.append(tuple(cls))
+    return classes
 
 
 # -- Kirkman systems ----------------------------------------------------------
@@ -282,94 +256,49 @@ _KTS15 = (
     ((1, 12, 14), (2, 9, 10), (3, 4, 11), (5, 7, 15), (6, 8, 13)),
 )
 
-# Transversal data of the 3q construction, per q: the level-1 and level-2
-# partners (bs, cs) of the leftover level-0 points, and the (d, e) base
-# block differences of the 3t developed classes.  Found once by
-# backtracking (lexicographic, first solution); gen-design and
-# design_to_hypergraph run verify_resolvable_bibd on every design built
+# Data of the 3q construction, per q = 6t + 1: t disjoint base triples of
+# Z_q whose pair differences partition the difference classes {1..3t}, the
+# level-1 and level-2 partners (bs, cs) of the level-0 points they leave
+# over, and the (d, e) base block differences of the 3t developed classes.
+# Found once by backtracking (lexicographic, first solution); gen-design
+# and design_to_hypergraph run verify_resolvable_bibd on every design built
 # from it.
 _KTS_TRANSVERSALS = {
-    7: ((4, 2, 6, 5), (5, 6, 2, 4), ((0, 0), (3, 1), (4, 6))),
-    13: ((2, 7, 6, 12, 11, 9, 8), (6, 2, 12, 9, 7, 8, 11),
+    7: (((0, 1, 3),),
+        (4, 2, 6, 5), (5, 6, 2, 4),
+        ((0, 0), (3, 1), (4, 6))),
+    13: (((0, 1, 4), (3, 5, 10)),
+         (2, 7, 6, 12, 11, 9, 8), (6, 2, 12, 9, 7, 8, 11),
          ((3, 3), (5, 7), (6, 0), (7, 8), (8, 6), (10, 2))),
-    19: ((6, 9, 8, 14, 16, 17, 10, 18, 11, 15),
+    19: (((0, 1, 4), (3, 5, 12), (2, 7, 13)),
+         (6, 9, 8, 14, 16, 17, 10, 18, 11, 15),
          (6, 10, 14, 17, 8, 15, 18, 11, 16, 9),
          ((6, 13), (7, 4), (8, 17), (9, 11), (10, 9), (11, 15), (12, 8),
           (15, 6), (17, 12))),
-    25: ((7, 10, 8, 15, 18, 12, 21, 24, 14, 22, 16, 19, 23),
+    25: (((0, 1, 3), (2, 6, 13), (4, 9, 17), (5, 11, 20)),
+         (7, 10, 8, 15, 18, 12, 21, 24, 14, 22, 16, 19, 23),
          (7, 12, 15, 8, 21, 23, 18, 16, 22, 10, 14, 24, 19),
          ((7, 19), (8, 18), (9, 15), (10, 24), (11, 12), (12, 16), (13, 22),
           (14, 13), (15, 10), (16, 6), (17, 11), (18, 9))),
 }
 
 
-def _difference_triples(q):
-    """Partition the difference classes {1..3t} of Z_q (q = 6t + 1) into t
-    base triples {0, a, b} whose three pair differences hit three distinct
-    classes.  First partition in lexicographic order."""
-    t = (q - 1) // 6
-    cls = lambda d: min(d % q, (-d) % q)
-    out = []
-
-    def realize(trip):
-        for a in range(1, q):
-            for b in range(a + 1, q):
-                if {cls(a), cls(b), cls(b - a)} == set(trip):
-                    return (0, a, b)
-        return None
-
-    def rec(rem):
-        if not rem:
-            return True
-        x = rem[0]
-        for pair in combinations(rem[1:], 2):
-            trip = (x,) + pair
-            base = realize(trip)
-            if base is not None:
-                out.append(base)
-                if rec([r for r in rem if r not in trip]):
-                    return True
-                out.pop()
-        return False
-
-    if not rec(list(range(1, 3 * t + 1))):
-        return None
-    return out
-
-
 def _kts_three_q_classes(q):
     """Kirkman system on 3q points, q = 6t + 1, as described in the module
     docstring.  Point (x, level) gets id 1 + level*q + x."""
-    fam = _difference_triples(q)
-    if fam is None:
-        raise UnsupportedParametersError(
-            f"no difference-triple partition for q={q}")
+    triples, bs, cs, pairing = _KTS_TRANSVERSALS[q]
 
     def dev(base, x):
         return tuple(sorted((p + x) % q + lvl * q + 1 for p, lvl in base))
 
-    # the pure difference triples translated to be disjoint; the same
-    # placement serves all three levels
-    placed, usedpts = [], set()
-    for base in fam:
-        for s in range(q):
-            pts = {(p + s) % q for p in base}
-            if not pts & usedpts:
-                placed.append(tuple(sorted(pts)))
-                usedpts |= pts
-                break
-        else:
-            raise UnsupportedParametersError(
-                f"could not place difference triples for q={q}")
-    rem = sorted(set(range(q)) - usedpts)
-
-    bs, cs, pairing = _KTS_TRANSVERSALS[q]
     classes = []
     for d, e_val in pairing:
         base = ((0, 0), (d, 1), (e_val, 2))
         classes.append(tuple(sorted(dev(base, x) for x in range(q))))
+    # the same disjoint triples serve all three levels
     floating = [tuple((p, lvl) for p in pts)
-                for lvl in range(3) for pts in placed]
+                for lvl in range(3) for pts in triples]
+    rem = sorted(set(range(q)).difference(*triples))
     for a, b, c in zip(rem, bs, cs):
         floating.append(((a, 0), (b, 1), (c, 2)))
     for x in range(q):
@@ -391,30 +320,27 @@ def construct_resolvable_bibd(n, k):
     always passes verify_resolvable_bibd."""
     if k < 2 or n < k:
         raise UnsupportedParametersError(f"(n={n}, k={k}) is degenerate")
-    if n == k * k and _is_prime_power(k):
-        return ResolvableDesign.from_lists(n, k, _affine_plane_classes(k))
+    d, m = 0, n
+    while m % k == 0:
+        m //= k
+        d += 1
+    if m == 1 and _is_prime_power(k):
+        return ResolvableDesign.from_lists(n, k, _affine_classes(k, d))
     if k == 3:
         if n % 6 != 3:
             raise UnsupportedParametersError(
                 f"no resolvable (n={n}, k=3, 1) design: n must be 3 (mod 6)")
-        d, m = 0, n
-        while m % 3 == 0:
-            m //= 3
-            d += 1
-        if m == 1:
-            return ResolvableDesign.from_lists(
-                n, 3, _affine_space_gf3_classes(d))
         if n == 15:
             return ResolvableDesign.from_lists(15, 3, _KTS15)
-        q = n // 3
-        if q in _KTS_TRANSVERSALS:
-            return ResolvableDesign.from_lists(n, 3, _kts_three_q_classes(q))
+        if n // 3 in _KTS_TRANSVERSALS:
+            return ResolvableDesign.from_lists(
+                n, 3, _kts_three_q_classes(n // 3))
         raise UnsupportedParametersError(
             f"n={n} outside the implemented Kirkman families "
-            f"(powers of 3, 15, or 3q with q = 1 mod 6, q <= 25)")
+            f"(powers of 3, 15, or 3q with q in 7, 13, 19, 25)")
     raise UnsupportedParametersError(
         f"(n={n}, k={k}) outside the implemented families "
-        f"(affine planes n = k^2, or k = 3)")
+        f"(affine spaces n = k^d with k a prime power, or k = 3)")
 
 
 # -- text format --------------------------------------------------------------
@@ -436,7 +362,7 @@ def parse_design(text):
     rows = _content_rows(text)
     if not rows:
         raise ValueError("empty design text")
-    n, k, m = (int(x) for x in rows[0].split())
+    n, k, m = _header(rows[0], "<n> <k> <m>")
     classes = [[]]
     for ln in rows[1:]:
         if ln.strip() == "%":

@@ -209,16 +209,25 @@ def _content_rows(text):
             if ln.strip() and not ln.lstrip().startswith("#")]
 
 
+def _header(row, fields):
+    """The integers of a header row with the named fields, e.g. `fields`
+    "<n> <m>"; anything else raises ValueError quoting the row."""
+    try:
+        values = [int(x) for x in row.split()]
+    except ValueError:
+        values = None
+    if values is None or len(values) != len(fields.split()):
+        raise ValueError(f"header must be '{fields}', got {row!r}")
+    return values
+
+
 def _read_edge_list(text, what):
     """(n, edge tuples) of an "<n> <m>" header and its m edge lines, in
     file order; `what` names the file kind in error messages."""
     rows = _content_rows(text)
     if not rows:
         raise ValueError(f"empty {what} text")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise ValueError(f"header must be '<n> <m>', got {rows[0]!r}")
-    n, m = int(head[0]), int(head[1])
+    n, m = _header(rows[0], "<n> <m>")
     if len(rows) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(rows) - 1}")
     return n, [tuple(int(v) for v in ln.split()) for ln in rows[1:]]

@@ -100,9 +100,6 @@ class TraceColoring:
     pair_color: dict
     provenance: dict
 
-    def pairs(self):
-        return combinations(self.subset, 2)
-
 
 def trace_coloring(hg, coloring, sample):
     """Color each pair of the scattered subset by the color of a hyperedge

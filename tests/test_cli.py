@@ -118,6 +118,25 @@ class TestFindBerge:
         out.write_text(json.dumps(record))
         assert run("verify", out) == 3
 
+    @pytest.mark.parametrize("drop", ["coloring_text", "color"])
+    def test_color_claim_without_coloring_is_malformed(self, files, capsys,
+                                                       drop):
+        out = files["dir"] / "cert.json"
+        assert run("find-berge", files["fano"], files["k3"],
+                   "--coloring", files["fano_blue"], "--color", "0",
+                   "-o", out) == 0
+        record = json.loads(out.read_text())
+        if drop == "color":
+            record["color"] = None
+        else:
+            del record["coloring_text"]
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 1
+        assert error_lines(capsys) == [
+            "error: malformed berge-certificate record: 'color' and "
+            "'coloring_text' must be given together"]
+
 
 class TestUnavoidable:
     def test_k5_avoidable(self, files, capsys):
@@ -191,6 +210,25 @@ class TestMtLllAndCertify:
         assert json.loads(lb2.read_text())["statement"] == record["statement"]
         assert run("verify", lb2) == 0
 
+    @pytest.mark.parametrize("field,value", [
+        ("bound", 999), ("bound", 10.0), ("n", 5), ("method", "made-up"),
+        ("uniformity", [7]), ("statement", "R̂³(BK₄,BK₄) ≥ 99")])
+    def test_forged_lower_bound_field_exit_3(self, files, capsys, field,
+                                             value):
+        from coverramsey import construct_resolvable_bibd, design_to_hypergraph
+        d9 = files["dir"] / "d9.hg"
+        host = design_to_hypergraph(construct_resolvable_bibd(9, 3))
+        d9.write_text(format_hypergraph(host))
+        out = files["dir"] / "lb.json"
+        assert run("mt-lll", d9, "4", "-o", out) == 0
+        record = json.loads(out.read_text())
+        assert run("verify", out) == 0
+        record[field] = value
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 3
+        assert capsys.readouterr().out.startswith(f"{field} mismatch: ")
+
     def test_certify_lower_rejects_bad_coloring_exit_3(self, files):
         col = files["dir"] / "allblue.col"
         col.write_text("0" * 15 + "\n")
@@ -249,6 +287,32 @@ class TestScatter:
         out = files["dir"] / "scatter.json"
         assert run("scatter", files["fano"], "3", "-o", out) == 0
         assert run("verify", out) == 0
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("subset", [1, 1, 999], "subset is not 6 distinct vertices in 1..6"),
+        ("subset", [], "subset is not 6 distinct vertices in 1..6"),
+        ("subset", [1, 2, 3, 4, 5, 6.0],
+         "subset is not 6 distinct vertices in 1..6"),
+        ("k", 3, "k mismatch: recomputed 2, recorded 3"),
+        ("failure_bound", "1/2", None),
+        ("failure_bound_float", 1.0, None),
+    ])
+    def test_forged_record_exit_3(self, files, capsys, field, value,
+                                  message):
+        out = files["dir"] / "scatter.json"
+        assert run("scatter", files["k6"], "6", "-o", out) == 0
+        record = json.loads(out.read_text())
+        assert record["subset"] == [1, 2, 3, 4, 5, 6]
+        assert run("verify", out) == 0
+        record[field] = value
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 3
+        printed = capsys.readouterr().out
+        if message is None:
+            assert printed.startswith(f"{field} mismatch: ")
+        else:
+            assert printed == message + "\n"
 
 
 class TestReduceProduct:

@@ -11,6 +11,28 @@ from coverramsey.designs import (CLASS_COUNT_FAIL, PAIR_COUNT_FAIL,
                                  PARTITION_FAIL)
 
 
+def is_prime_power(q):
+    return q > 1 and len({p for p in range(2, q + 1) if q % p == 0
+                          and all(p % r for r in range(2, p))}) == 1
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    """Every design built for 2 <= n < 260, 2 <= k <= 16, by (n, k)."""
+    out = {}
+    for n in range(2, 260):
+        for k in range(2, 17):
+            try:
+                out[n, k] = construct_resolvable_bibd(n, k)
+            except UnsupportedParametersError:
+                pass
+    return out
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def assert_valid(design, n, k):
     report = verify_resolvable_bibd(design)
     assert report.ok(), report.violations
@@ -58,6 +80,44 @@ class TestConstruction:
         # digests of the systems the transversal backtracking search built
         text = format_design(construct_resolvable_bibd(n, 3))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n,digest", [
+        (27, "1e67429891b4b916f46ab519e1d370b0393ee9b59a3fece3b80b7b2286f6708a"),
+        (81, "1a22c4d86444cccca506fba3632ead8213680c0501675d12eaf7fcf8dbae4d48"),
+        (243,
+         "bce10923099af4b8338fa9fb86bc21e04959b54a396361909582be311c654117"),
+    ])
+    def test_affine_gf3_text_pinned(self, n, digest):
+        # digests of the systems the former AG(d, 3) builder made
+        assert sha256(format_design(construct_resolvable_bibd(n, 3))) \
+            == digest
+
+    @pytest.mark.parametrize("n,k,digest", [
+        (9, 3,
+         "2f485321a8b1c33a46a7bdea85aa5cc095b8854737bc4de330cb374d093b63c0"),
+        (16, 4,
+         "341e42e0a93895496cbce099f391dfb26141392f94db9504f43aaf7f1ec07238"),
+        (25, 5,
+         "82510f37e3450b49be1ff5e769831c8bb5dc5dac122b9ee69814477f816bf9d6"),
+        (49, 7,
+         "e6c91725bc6f6de12c88ae91d37c514db57d8f5f556d3a077f4607befde7b20d"),
+    ])
+    def test_affine_plane_text_pinned(self, n, k, digest):
+        # digests of the planes the former plane builder made, with its
+        # last (vertical) class moved to the front
+        design = construct_resolvable_bibd(n, k)
+        assert design.classes[0][0] == tuple(range(1, k + 1))
+        assert sha256(format_design(design)) == digest
+
+    def test_supported_parameters_sweep(self, sweep):
+        expected = ({(k ** d, k) for k in range(2, 17) if is_prime_power(k)
+                     for d in range(1, 9) if k ** d < 260}
+                    | {(15, 3)} | {(3 * q, 3) for q in (7, 13, 19, 25)})
+        assert len(expected) == 37
+        assert set(sweep) == expected
+        for (n, k), design in sweep.items():
+            assert (design.n, design.k) == (n, k)
+            assert_valid(design, n, k)
 
     def test_3_3_trivial(self):
         design = construct_resolvable_bibd(3, 3)
@@ -159,6 +219,17 @@ class TestTextFormat:
     def test_round_trip(self, n, k):
         design = construct_resolvable_bibd(n, k)
         assert parse_design(format_design(design)) == design
+
+    def test_round_trip_sweep(self, sweep):
+        for design in sweep.values():
+            assert parse_design(format_design(design)) == design
+
+    @pytest.mark.parametrize("text", ["9 3\n", "9 x 4\n", "9 3 4 5\n"])
+    def test_bad_header(self, text):
+        with pytest.raises(ValueError) as exc:
+            parse_design(text)
+        assert str(exc.value) == \
+            f"header must be '<n> <k> <m>', got {text.strip()!r}"
 
     def test_comments_ignored(self):
         design = construct_resolvable_bibd(9, 3)

@@ -100,7 +100,7 @@ class TestTraceColoring:
         coloring = random_coloring(rng, hg)
         sample = sample_scattered_subset(hg, 4, seed=1)
         trace = trace_coloring(hg, coloring, sample)
-        for pair in trace.pairs():
+        for pair in combinations(trace.subset, 2):
             idx = trace.provenance[pair]
             assert hg.edges[idx] == pair  # phi is the identity on pairs
             assert trace.pair_color[pair] == coloring.colors[idx]
@@ -121,7 +121,7 @@ class TestTraceColoring:
         coloring = random_coloring(rng, hg)
         sample = sample_scattered_subset(hg, 3, seed=3)
         trace = trace_coloring(hg, coloring, sample)
-        for pair in trace.pairs():
+        for pair in combinations(trace.subset, 2):
             assert trace.provenance[pair] == hg.pair_edges()[pair][0]
 
     def test_trace_provenance_injective(self):
