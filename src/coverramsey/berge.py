@@ -237,13 +237,17 @@ class BergeSearch:
         # saw every edge placed, in index order: its matching is the edge map
         return dict(zip(self.order, image)), dict(enumerate(last))
 
-    def certificate(self, allowed, coloring=None, color=None):
-        """The verified certificate of `run(allowed)`, or None."""
+    def certificate(self, allowed):
+        """The certificate of `run(allowed)`, or None.  This is the one
+        check of a copy the search finds: the certificate must verify and
+        use only hyperedges in `allowed`."""
         found = self.run(allowed)
         if found is None:
             return None
         cert = BergeCertificate.from_dicts(*found)
-        assert verify_certificate(self.hg, self.g, cert, coloring, color)
+        assert verify_certificate(self.hg, self.g, cert)
+        assert all(allowed >> i & 1 for i in found[1].values()), \
+            "certificate uses a hyperedge outside the allowed set"
         return cert
 
 
@@ -261,7 +265,7 @@ def find_berge(hg, g, coloring=None, color=None):
             raise ValueError(f"color {color} outside palette "
                              f"0..{coloring.palette_size - 1}")
         allowed = _mask(coloring.indices_of(color))
-    return BergeSearch(hg, g).certificate(allowed, coloring, color)
+    return BergeSearch(hg, g).certificate(allowed)
 
 
 def contains_mono_berge(hg, coloring, g1, g2):
@@ -273,8 +277,7 @@ def contains_mono_berge(hg, coloring, g1, g2):
     first = BergeSearch(hg, g1)
     second = first if g2 == g1 else BergeSearch(hg, g2)
     for color, search in ((0, first), (1, second)):
-        allowed = _mask(coloring.indices_of(color))
-        cert = search.certificate(allowed, coloring, color)
+        cert = search.certificate(_mask(coloring.indices_of(color)))
         if cert is not None:
             return (color, cert)
     return None

@@ -16,6 +16,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import reprlib
 import sys
 import time
 from fractions import Fraction
@@ -31,7 +32,8 @@ from .hypergraph import (format_coloring, format_hypergraph, parse_coloring,
                          parse_hypergraph)
 from .reductions import (multicolor_product_reduction, sample_scattered_subset,
                          scatter_failure_bound, scatter_rejection_trials)
-from .search import (AVOIDABLE, LimitExceededError, VerificationFailure,
+from .search import (AVOIDABLE, DEFAULT_COLORING_LIMIT, UNAVOIDABLE,
+                     LimitExceededError, VerificationFailure,
                      lower_bound_certificate, moser_tardos_coloring,
                      unavoidable, unavoidable_sharded)
 
@@ -88,16 +90,36 @@ def _lower_bound_record(cert, manifest, **extra):
             **dataclasses.asdict(cert), **extra}
 
 
-def _color_matrix(red):
-    """Lower triangle of a product reduction's pair colors: row v - 2
-    lists the colors of the pairs (u, v), u < v."""
-    return [[red.pair_color[(u, v)] for u in range(1, v)]
-            for v in range(2, red.n + 1)]
-
-
 def _fraction_str(frac):
     frac = Fraction(frac)
     return f"{frac.numerator}/{frac.denominator}"
+
+
+def _product_fields(hg, coloring):
+    """The product-reduction fields fixed by the host and its coloring.
+    Row v - 2 of the matrix lists the colors of the pairs (u, v), u < v."""
+    red = multicolor_product_reduction(hg, coloring)
+    matrix = [[red.pair_color[(u, v)] for u in range(1, v)]
+              for v in range(2, red.n + 1)]
+    provenance = [[u, v, ie, label]
+                  for (u, v), (ie, label) in sorted(red.provenance.items())]
+    return {"n": red.n, "palette_size": red.palette_size,
+            "label_count": red.label_count, "color_matrix_lower": matrix,
+            "provenance": provenance}
+
+
+def _scatter_fields(hg, s, seed, trials):
+    """The scatter-sample fields fixed by the host, `s`, the seed and the
+    trial count; the trial fields only when `trials` is nonzero."""
+    k = hg.max_edge_size
+    bound = scatter_failure_bound(hg.n, s, k)
+    fields = {"k": k, "failure_bound": _fraction_str(bound),
+              "failure_bound_float": float(bound)}
+    if trials:
+        rejected, trials = scatter_rejection_trials(hg, s, trials, seed=seed)
+        fields.update(trials=trials, rejected=rejected,
+                      empirical_rate=rejected / trials)
+    return fields
 
 
 # -- subcommands --------------------------------------------------------------
@@ -231,23 +253,13 @@ def cmd_mt_lll(args):
 def cmd_scatter(args):
     inputs = {}
     hg = parse_hypergraph(_read(args.host, inputs))
-    k = hg.max_edge_size
-    bound = scatter_failure_bound(hg.n, args.s, k)
     record = {
         "record": "scatter-sample",
         "manifest": _manifest(args, inputs, seed=args.seed),
         "host_text": format_hypergraph(hg),
         "s": args.s,
-        "k": k,
-        "failure_bound": _fraction_str(bound),
-        "failure_bound_float": float(bound),
+        **_scatter_fields(hg, args.s, args.seed, args.trials),
     }
-    if args.trials:
-        rejected, trials = scatter_rejection_trials(hg, args.s, args.trials,
-                                                    seed=args.seed)
-        record["trials"] = trials
-        record["rejected"] = rejected
-        record["empirical_rate"] = rejected / trials
     sample = sample_scattered_subset(hg, args.s, seed=args.seed,
                                      max_attempts=args.max_attempts)
     if sample is None:
@@ -268,19 +280,12 @@ def cmd_reduce_product(args):
     hg, coloring = _load_host_and_coloring(args, inputs)
     if coloring is None:
         raise ValueError("reduce-product requires a coloring file")
-    red = multicolor_product_reduction(hg, coloring)
-    provenance = [[u, v, ie, label]
-                  for (u, v), (ie, label) in sorted(red.provenance.items())]
     record = {
         "record": "product-reduction",
         "manifest": _manifest(args, inputs),
         "host_text": format_hypergraph(hg),
         "coloring_text": format_coloring(coloring),
-        "n": red.n,
-        "palette_size": red.palette_size,
-        "label_count": red.label_count,
-        "color_matrix_lower": _color_matrix(red),
-        "provenance": provenance,
+        **_product_fields(hg, coloring),
     }
     _emit_json(record, args)
     return EXIT_OK
@@ -336,11 +341,11 @@ def cmd_certify_lower(args):
 def _mismatch(record, recomputed):
     """A message naming the first field of `recomputed` whose recorded
     value differs, or None.  Values are compared as JSON, so 5.0 or true
-    does not pass for 5 or 1."""
+    does not pass for 5 or 1.  Long values are abbreviated."""
     for field, value in recomputed.items():
         if json.dumps(record[field]) != json.dumps(value):
-            return (f"{field} mismatch: recomputed {value!r}, recorded "
-                    f"{record[field]!r}")
+            return (f"{field} mismatch: recomputed {reprlib.repr(value)}, "
+                    f"recorded {reprlib.repr(record[field])}")
     return None
 
 
@@ -370,17 +375,17 @@ def _verify_lower_bound_record(record):
         cert = lower_bound_certificate(hg, coloring, record["t"])
     except VerificationFailure as exc:
         return False, str(exc)
-    fields = ("n", "t", "uniformity", "bound", "method", "statement")
-    problem = _mismatch(record, {f: getattr(cert, f) for f in fields})
-    if problem:
-        return False, problem
-    return True, cert.statement
+    problem = _mismatch(record, dataclasses.asdict(cert))
+    return not problem, problem or cert.statement
 
 
 def _verify_unavoidability_record(record):
     hg = parse_hypergraph(record["host_text"])
     g1 = parse_target(record["g1_text"])
     g2 = parse_target(record["g2_text"])
+    if record["verdict"] not in (AVOIDABLE, UNAVOIDABLE):
+        raise ValueError(f"malformed unavoidability-result record: unknown "
+                         f"verdict {record['verdict']!r}")
     if record["verdict"] == AVOIDABLE:
         coloring = parse_coloring(record["witness"] + "\n", hg.num_edges)
         hit = contains_mono_berge(hg, coloring, g1, g2)
@@ -393,11 +398,13 @@ def _verify_unavoidability_record(record):
 
 def _verify_scatter_record(record):
     hg = parse_hypergraph(record["host_text"])
-    s, k = record["s"], hg.max_edge_size
-    bound = scatter_failure_bound(hg.n, s, k)
-    problem = _mismatch(record, {"k": k,
-                                 "failure_bound": _fraction_str(bound),
-                                 "failure_bound_float": float(bound)})
+    s = record["s"]
+    fields = _scatter_fields(hg, s, record["manifest"]["seed"],
+                             record.get("trials", 0))
+    if {"rejected", "empirical_rate"} & record.keys() - fields.keys():
+        raise ValueError("malformed scatter-sample record: rejection "
+                         "counts without a positive 'trials'")
+    problem = _mismatch(record, fields)
     if problem:
         return False, problem
     if not record.get("found"):
@@ -415,10 +422,9 @@ def _verify_scatter_record(record):
 def _verify_product_record(record):
     hg = parse_hypergraph(record["host_text"])
     coloring = parse_coloring(record["coloring_text"], hg.num_edges)
-    red = multicolor_product_reduction(hg, coloring)
-    if _color_matrix(red) != record["color_matrix_lower"]:
-        return False, "color matrix does not reproduce"
-    return True, "reduction reproduces from host and coloring"
+    problem = _mismatch(record, _product_fields(hg, coloring))
+    return (not problem,
+            problem or "reduction reproduces from host and coloring")
 
 
 def cmd_verify(args):
@@ -509,7 +515,7 @@ def build_parser():
     p.add_argument("--shard-bits", type=int, default=2,
                    help="prefix length when splitting with --jobs")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--limit", type=int, default=2 ** 20,
+    p.add_argument("--limit", type=int, default=DEFAULT_COLORING_LIMIT,
                    help="max colorings per (sharded) search")
     add_common(p)
 

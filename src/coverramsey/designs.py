@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .hypergraph import Hypergraph, _content_rows, _header
+from .hypergraph import Hypergraph, _content_rows, _header, _ints
 
 PARTITION_FAIL = "PARTITION_FAIL"
 PAIR_COUNT_FAIL = "PAIR_COUNT_FAIL"
@@ -368,7 +368,7 @@ def parse_design(text):
         if ln.strip() == "%":
             classes.append([])
         else:
-            classes[-1].append(tuple(int(x) for x in ln.split()))
+            classes[-1].append(_ints(ln))
     if len(classes) != m:
         raise ValueError(f"expected {m} classes, found {len(classes)}")
     return ResolvableDesign.from_lists(n, k, classes)

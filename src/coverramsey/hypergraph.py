@@ -209,11 +209,19 @@ def _content_rows(text):
             if ln.strip() and not ln.lstrip().startswith("#")]
 
 
+def _ints(row):
+    """The integers of an edge, block or header row, else ValueError."""
+    try:
+        return tuple(map(int, row.split()))
+    except ValueError:
+        raise ValueError(f"non-integer entry in line {row!r}") from None
+
+
 def _header(row, fields):
     """The integers of a header row with the named fields, e.g. `fields`
     "<n> <m>"; anything else raises ValueError quoting the row."""
     try:
-        values = [int(x) for x in row.split()]
+        values = _ints(row)
     except ValueError:
         values = None
     if values is None or len(values) != len(fields.split()):
@@ -230,7 +238,7 @@ def _read_edge_list(text, what):
     n, m = _header(rows[0], "<n> <m>")
     if len(rows) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(rows) - 1}")
-    return n, [tuple(int(v) for v in ln.split()) for ln in rows[1:]]
+    return n, [_ints(ln) for ln in rows[1:]]
 
 
 def format_hypergraph(hg):

@@ -178,13 +178,8 @@ def multicolor_product_reduction(hg, coloring):
 
 def _lift(hg, g, embedding, pair_to_edge, coloring=None, color=None):
     vmap = dict(embedding)
-    emap = {}
-    for ei, (u, v) in enumerate(g.edges):
-        a, b = vmap[u], vmap[v]
-        emap[ei] = pair_to_edge[(min(a, b), max(a, b))]
-    images = list(emap.values())
-    assert len(set(images)) == len(images), \
-        "provenance maps two target edges to one hyperedge"
+    emap = {ei: pair_to_edge[tuple(sorted((vmap[u], vmap[v])))]
+            for ei, (u, v) in enumerate(g.edges)}
     cert = BergeCertificate.from_dicts(vmap, emap)
     result = verify_certificate(hg, g, cert, coloring, color)
     assert result, f"lifted certificate failed verification: {result.reason}"

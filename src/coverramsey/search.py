@@ -11,8 +11,8 @@ import random
 from contextlib import ExitStack
 from dataclasses import dataclass
 
-from .berge import (BergeCertificate, BergeSearch, complete_graph,
-                    contains_mono_berge, find_berge, verify_certificate)
+from .berge import (BergeSearch, complete_graph, contains_mono_berge,
+                    find_berge)
 from .hypergraph import (EdgeColoring, check_coloring, complete_host,
                          format_coloring, format_hypergraph)
 
@@ -61,8 +61,7 @@ def unavoidable(hg, g1, g2, shard=None, limit=DEFAULT_COLORING_LIMIT):
     class, so a node is cut, with its whole subtree, as soon as the edge it
     colors blue gives the blue class a Berge-G1 (or, colored red, gives the
     red class a Berge-G2); the root checks both classes of the fixed edges.
-    Every cut asserts its certificate against the completion that gives
-    each unset edge the other color.  The G1 and G2 searches are built once.
+    The G1 and G2 searches are built once.
 
     `colorings_examined` is the Gray-code position of the witness plus
     one, or every free coloring when UNAVOIDABLE: the count the plain
@@ -92,22 +91,9 @@ def unavoidable(hg, g1, g2, shard=None, limit=DEFAULT_COLORING_LIMIT):
     first = BergeSearch(hg, g1)
     searches = (first, first if g2 == g1 else BergeSearch(hg, g2))
 
-    def coloring(red):
-        return EdgeColoring(tuple((red >> i) & 1 for i in range(m)), 2)
-
-    def holds(color, allowed, red):
-        """Whether the color class `allowed` holds its target; a copy is
-        asserted against the coloring whose red class is `red`."""
-        search = searches[color]
-        found = search.run(allowed)
-        if found is None:
-            return False
-        cert = BergeCertificate.from_dicts(*found)
-        assert verify_certificate(hg, search.g, cert, coloring(red), color)
-        return True
-
-    # unset[j]: the free edges still uncolored once free[j] is colored
-    unset = [sum(1 << i for i in free[:j]) for j in range(len(free) + 1)]
+    def holds(color, allowed):
+        """Whether the color class `allowed` holds its target."""
+        return searches[color].certificate(allowed) is not None
 
     def visit(j, blue, red, s):
         """(position, red class) of the first surviving leaf below the node
@@ -118,10 +104,10 @@ def unavoidable(hg, g1, g2, shard=None, limit=DEFAULT_COLORING_LIMIT):
         bit = 1 << free[j]
         for step, color in enumerate((s & 1, s & 1 ^ 1)):
             if color:
-                cut = holds(1, red | bit, red | bit)
+                cut = holds(1, red | bit)
                 child = blue, red | bit
             else:
-                cut = holds(0, blue | bit, red | unset[j])
+                cut = holds(0, blue | bit)
                 child = blue | bit, red
             leaf = None if cut else visit(j - 1, *child, s << 1 | step)
             if leaf is not None:
@@ -130,12 +116,12 @@ def unavoidable(hg, g1, g2, shard=None, limit=DEFAULT_COLORING_LIMIT):
 
     red = sum(c << i for i, c in fixed.items())  # the color-1 edges
     blue = sum(1 << i for i, c in fixed.items() if not c)
-    if not (holds(0, blue, red | unset[-1]) or holds(1, red, red)):
+    if not (holds(0, blue) or holds(1, red)):
         leaf = visit(len(free) - 1, blue, red, 0)
         if leaf is not None:
             s, red = leaf
-            return UnavoidabilityResult(AVOIDABLE, coloring(red), s + 1,
-                                        shard)
+            witness = EdgeColoring(tuple(red >> i & 1 for i in range(m)), 2)
+            return UnavoidabilityResult(AVOIDABLE, witness, s + 1, shard)
     return UnavoidabilityResult(UNAVOIDABLE, None, 2 ** len(free), shard)
 
 

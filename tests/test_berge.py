@@ -249,6 +249,17 @@ class TestBergeSearch:
         assert digest.hexdigest() == ("bb7de9ae90a937b7510f40cf93f506ba"
                                       "1ff9a88d46065efee56f7329e8e6a6be")
 
+    def test_certificate_rejects_an_edge_outside_allowed(self, monkeypatch):
+        # a copy that verifies as a Berge triangle but uses line 1, which
+        # the allowed mask leaves out, must fail the check
+        cert = fano_k3_cert()
+        monkeypatch.setattr(BergeSearch, "run", lambda self, allowed: (
+            cert.vertex_dict(), cert.edge_dict()))
+        search = BergeSearch(fano(), K3)
+        assert search.certificate(0b1011) == cert
+        with pytest.raises(AssertionError, match="outside the allowed set"):
+            search.certificate(0b1001)
+
     def test_matching_for_assignment_agrees_with_search(self):
         rng = random.Random(8)
         for _ in range(30):

@@ -4,7 +4,8 @@ import pytest
 
 from coverramsey import (complete_graph, complete_host, format_hypergraph,
                          parse_design)
-from coverramsey.cli import main
+from coverramsey.cli import build_parser, main
+from coverramsey.search import DEFAULT_COLORING_LIMIT
 
 from _oracles import fano
 
@@ -149,6 +150,24 @@ class TestUnavoidable:
                    "-o", out) == 0
         assert run("verify", out) == 0
 
+    def test_unknown_verdict_is_malformed(self, files, capsys):
+        out = files["dir"] / "unavoid.json"
+        assert run("unavoidable", files["k6"], files["k3"], files["k3"],
+                   "-o", out) == 0
+        record = json.loads(out.read_text())
+        record["verdict"] = "banana"
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 1
+        assert error_lines(capsys) == [
+            "error: malformed unavoidability-result record: unknown "
+            "verdict 'banana'"]
+        assert capsys.readouterr().out == ""
+
+    def test_default_limit_is_the_library_default(self):
+        args = build_parser().parse_args(["unavoidable", "h", "g1", "g2"])
+        assert args.limit == DEFAULT_COLORING_LIMIT
+
     def test_shard_flag(self, files, capsys):
         assert run("unavoidable", files["k5"], files["k3"], files["k3"],
                    "--shard", "11", "--format", "structured") == 0
@@ -228,6 +247,22 @@ class TestMtLllAndCertify:
         capsys.readouterr()
         assert run("verify", out) == 3
         assert capsys.readouterr().out.startswith(f"{field} mismatch: ")
+
+    def test_non_canonical_host_text_exit_3(self, files, capsys):
+        # every certificate field is compared, the embedded texts too
+        col = files["dir"] / "pentagon.col"
+        col.write_text("0110011010\n")  # blue 5-cycle, red pentagram on K5
+        out = files["dir"] / "lb.json"
+        assert run("certify-lower", files["k5"], col, "3", "-o", out) == 0
+        record = json.loads(out.read_text())
+        assert run("verify", out) == 0
+        lines = record["host_text"].splitlines(keepends=True)
+        lines[1], lines[2] = lines[2], lines[1]
+        record["host_text"] = "".join(lines)
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 3
+        assert capsys.readouterr().out.startswith("host_text mismatch: ")
 
     def test_certify_lower_rejects_bad_coloring_exit_3(self, files):
         col = files["dir"] / "allblue.col"
@@ -315,6 +350,40 @@ class TestScatter:
             assert printed == message + "\n"
 
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("trials", 7, "rejected mismatch: recomputed 3, recorded 12"),
+        ("rejected", 999, "rejected mismatch: recomputed 12, recorded 999"),
+        ("empirical_rate", 5.0,
+         "empirical_rate mismatch: recomputed 0.24, recorded 5.0"),
+    ])
+    def test_forged_trial_field_exit_3(self, files, capsys, field, value,
+                                       message):
+        out = files["dir"] / "scatter.json"
+        assert run("scatter", files["fano"], "3", "--trials", "50",
+                   "-o", out) == 0
+        record = json.loads(out.read_text())
+        assert (record["trials"], record["rejected"]) == (50, 12)
+        assert run("verify", out) == 0
+        record[field] = value
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 3
+        assert capsys.readouterr().out == message + "\n"
+
+    def test_trial_counts_without_trials_are_malformed(self, files, capsys):
+        out = files["dir"] / "scatter.json"
+        assert run("scatter", files["fano"], "3", "--trials", "50",
+                   "-o", out) == 0
+        record = json.loads(out.read_text())
+        del record["trials"]
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 1
+        assert error_lines(capsys) == [
+            "error: malformed scatter-sample record: rejection counts "
+            "without a positive 'trials'"]
+
+
 class TestReduceProduct:
     def test_reduction_record(self, files, capsys):
         out = files["dir"] / "red.json"
@@ -325,6 +394,21 @@ class TestReduceProduct:
         assert record["palette_size"] == 6
         assert len(record["color_matrix_lower"]) == 6  # rows for v = 2..7
         assert run("verify", out) == 0
+
+    @pytest.mark.parametrize("field,value", [
+        ("palette_size", 99), ("label_count", -4), ("n", 1),
+        ("provenance", []), ("color_matrix_lower", [[0]])])
+    def test_forged_field_exit_3(self, files, capsys, field, value):
+        out = files["dir"] / "red.json"
+        col = files["dir"] / "mix.col"
+        col.write_text("0110100\n")
+        assert run("reduce-product", files["fano"], col, "-o", out) == 0
+        record = json.loads(out.read_text())
+        record[field] = value
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 3
+        assert capsys.readouterr().out.startswith(f"{field} mismatch: ")
 
 
 class TestBound:
@@ -379,6 +463,21 @@ class TestVerifyDispatch:
         err = capsys.readouterr().err.splitlines()
         assert err[0].startswith("error: cannot read ")
         assert "No such file or directory" in err[0]
+
+    @pytest.mark.parametrize("kind,text,line", [
+        ("host", "3 2\n1 2\n1 x\n", "1 x"),
+        ("target", "3 2\n1 2\n1 q\n", "1 q"),
+        ("design", "3 3 1\n1 2 y\n", "1 2 y")])
+    def test_non_integer_entry_exit_1(self, files, capsys, kind, text, line):
+        bad = files["dir"] / f"bad.{kind}"
+        bad.write_text(text)
+        argvs = {"host": [("verify", bad), ("find-berge", bad, files["k3"])],
+                 "target": [("find-berge", files["fano"], bad)],
+                 "design": [("verify", bad)]}[kind]
+        for argv in argvs:
+            assert run(*argv) == 1
+            assert error_lines(capsys) == [
+                f"error: non-integer entry in line {line!r}"]
 
     def test_malformed_record_exit_1(self, files):
         bad = files["dir"] / "torn.json"

@@ -13,6 +13,7 @@ from coverramsey import (AVOIDABLE, EdgeColoring, Hypergraph,
                          moser_tardos_coloring, path_graph, scan_bad_events,
                          unavoidable, unavoidable_sharded,
                          verify_certificate)
+import coverramsey.berge
 import coverramsey.search
 from coverramsey.berge import BergeSearch
 from coverramsey.search import shard_prefixes
@@ -226,7 +227,7 @@ class TestPrunedSearch:
     def test_cuts_save_berge_searches(self, monkeypatch, target):
         runs, checks = [], []
         run = BergeSearch.run
-        verify = coverramsey.search.verify_certificate
+        verify = coverramsey.berge.verify_certificate
 
         def counted_run(self, allowed):
             runs.append(allowed)
@@ -237,7 +238,7 @@ class TestPrunedSearch:
             return checks[-1]
 
         monkeypatch.setattr(BergeSearch, "run", counted_run)
-        monkeypatch.setattr(coverramsey.search, "verify_certificate",
+        monkeypatch.setattr(coverramsey.berge, "verify_certificate",
                             recorded_verify)
         res = unavoidable(complete_host(6), target, target)
         assert res.verdict == UNAVOIDABLE
@@ -246,6 +247,20 @@ class TestPrunedSearch:
         # one by one runs one or two searches on each
         assert len(runs) <= res.colorings_examined // 10
         assert checks and all(checks)
+
+    @pytest.mark.parametrize("n,verdict", [(5, AVOIDABLE), (6, UNAVOIDABLE)])
+    def test_builds_at_most_the_witness_coloring(self, monkeypatch, n,
+                                                 verdict):
+        built = []
+
+        def counted(*args):
+            built.append(EdgeColoring(*args))
+            return built[-1]
+
+        monkeypatch.setattr(coverramsey.search, "EdgeColoring", counted)
+        res = unavoidable(complete_host(n), K3, K3)
+        assert res.verdict == verdict
+        assert built == ([] if res.witness is None else [res.witness])
 
 
 class TestClassicalRamsey:
