@@ -4,7 +4,7 @@ scatter/trace and product reductions, exhaustive coloring search with a
 constructive local-lemma resampler, and exact bound arithmetic.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .berge import (BergeCertificate, complete_graph, contains_mono_berge,
                     cycle_graph, find_berge, matching_for_assignment,

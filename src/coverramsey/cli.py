@@ -12,9 +12,11 @@ Exit codes: 0 success / verdict found, 1 precondition violation,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import reprlib
 import sys
@@ -30,10 +32,11 @@ from .designs import (UnsupportedParametersError, construct_resolvable_bibd,
                       format_design, parse_design, verify_resolvable_bibd)
 from .hypergraph import (format_coloring, format_hypergraph, parse_coloring,
                          parse_hypergraph)
-from .reductions import (multicolor_product_reduction, sample_scattered_subset,
-                         scatter_failure_bound, scatter_rejection_trials)
-from .search import (AVOIDABLE, DEFAULT_COLORING_LIMIT, UNAVOIDABLE,
-                     LimitExceededError, VerificationFailure,
+from .reductions import (DEFAULT_MAX_ATTEMPTS, multicolor_product_reduction,
+                         sample_scattered_subset, scatter_failure_bound,
+                         scatter_rejection_trials)
+from .search import (AVOIDABLE, DEFAULT_COLORING_LIMIT, DEFAULT_MAX_RESAMPLES,
+                     UNAVOIDABLE, LimitExceededError, VerificationFailure,
                      lower_bound_certificate, moser_tardos_coloring,
                      unavoidable, unavoidable_sharded)
 
@@ -108,9 +111,10 @@ def _product_fields(hg, coloring):
             "provenance": provenance}
 
 
-def _scatter_fields(hg, s, seed, trials):
-    """The scatter-sample fields fixed by the host, `s`, the seed and the
-    trial count; the trial fields only when `trials` is nonzero."""
+def _scatter_fields(hg, s, seed, trials, max_attempts):
+    """The scatter-sample fields fixed by the host, `s`, the seed, the
+    trial count and the attempt limit; the trial fields only when `trials`
+    is nonzero, `subset` and `attempts` only when a sample is found."""
     k = hg.max_edge_size
     bound = scatter_failure_bound(hg.n, s, k)
     fields = {"k": k, "failure_bound": _fraction_str(bound),
@@ -119,6 +123,11 @@ def _scatter_fields(hg, s, seed, trials):
         rejected, trials = scatter_rejection_trials(hg, s, trials, seed=seed)
         fields.update(trials=trials, rejected=rejected,
                       empirical_rate=rejected / trials)
+    sample = sample_scattered_subset(hg, s, seed=seed,
+                                     max_attempts=max_attempts)
+    fields["found"] = sample is not None
+    if sample is not None:
+        fields.update(subset=list(sample.subset), attempts=sample.attempts)
     return fields
 
 
@@ -258,20 +267,14 @@ def cmd_scatter(args):
         "manifest": _manifest(args, inputs, seed=args.seed),
         "host_text": format_hypergraph(hg),
         "s": args.s,
-        **_scatter_fields(hg, args.s, args.seed, args.trials),
+        **_scatter_fields(hg, args.s, args.seed, args.trials,
+                          args.max_attempts),
     }
-    sample = sample_scattered_subset(hg, args.s, seed=args.seed,
-                                     max_attempts=args.max_attempts)
-    if sample is None:
-        record["found"] = False
-        _emit_json(record, args)
+    _emit_json(record, args)
+    if not record["found"]:
         print(f"no scattered subset within {args.max_attempts} attempts",
               file=sys.stderr)
         return EXIT_LIMIT
-    record["found"] = True
-    record["subset"] = list(sample.subset)
-    record["attempts"] = sample.attempts
-    _emit_json(record, args)
     return EXIT_OK
 
 
@@ -396,26 +399,50 @@ def _verify_unavoidability_record(record):
                   "search")
 
 
+def _recorded_args(record, command):
+    """The arguments of the run that wrote `record`, parsed from its
+    manifest argv by the parser that run used."""
+    argv = record["manifest"]["argv"]
+    args = None
+    if type(argv) is list and all(type(a) is str for a in argv):
+        sink = io.StringIO()  # argparse reports a bad argv by printing
+        try:
+            with (contextlib.redirect_stdout(sink),
+                  contextlib.redirect_stderr(sink)):
+                args = build_parser().parse_args(argv)
+        except SystemExit:
+            pass
+    if args is None or args.command != command:
+        raise ValueError(f"malformed {record['record']} record: argv "
+                         f"{reprlib.repr(argv)} is not a {command} command")
+    return args
+
+
 def _verify_scatter_record(record):
     hg = parse_hypergraph(record["host_text"])
     s = record["s"]
     fields = _scatter_fields(hg, s, record["manifest"]["seed"],
-                             record.get("trials", 0))
+                             record.get("trials", 0),
+                             _recorded_args(record, "scatter").max_attempts)
     if {"rejected", "empirical_rate"} & record.keys() - fields.keys():
         raise ValueError("malformed scatter-sample record: rejection "
                          "counts without a positive 'trials'")
+    # checked before the re-derived fields, so a bad subset is named as such
+    if record["found"]:
+        subset = set(record["subset"])
+        if (len(record["subset"]) != s or len(subset) != s
+                or any(type(v) is not int or not 1 <= v <= hg.n
+                       for v in subset)):
+            return False, f"subset is not {s} distinct vertices in 1..{hg.n}"
+        worst = max(len(subset.intersection(e)) for e in hg.edges)
+        if worst > 2:
+            return False, (f"some hyperedge meets the subset in {worst} "
+                           f"vertices")
     problem = _mismatch(record, fields)
     if problem:
         return False, problem
-    if not record.get("found"):
+    if not record["found"]:
         return True, "record claims absence; nothing to re-verify"
-    subset = set(record["subset"])
-    if (len(record["subset"]) != s or len(subset) != s
-            or any(type(v) is not int or not 1 <= v <= hg.n for v in subset)):
-        return False, f"subset is not {s} distinct vertices in 1..{hg.n}"
-    worst = max(len(subset.intersection(e)) for e in hg.edges)
-    if worst > 2:
-        return False, f"some hyperedge meets the subset in {worst} vertices"
     return True, "subset is scattered"
 
 
@@ -524,7 +551,8 @@ def build_parser():
     p.add_argument("host")
     p.add_argument("t", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-resamples", type=int, default=10 ** 6)
+    p.add_argument("--max-resamples", type=int,
+                   default=DEFAULT_MAX_RESAMPLES)
     p.add_argument("--coloring-out", help="also write the coloring sidecar")
     add_common(p, fmt=False)
 
@@ -532,7 +560,7 @@ def build_parser():
     p.add_argument("host")
     p.add_argument("s", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-attempts", type=int, default=1000)
+    p.add_argument("--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS)
     p.add_argument("--trials", type=int, default=0,
                    help="also estimate the rejection rate empirically")
     add_common(p, fmt=False)

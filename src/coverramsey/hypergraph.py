@@ -263,7 +263,7 @@ def format_coloring(coloring):
     return "".join(str(c) for c in coloring.colors) + "\n"
 
 
-def parse_coloring(text, num_edges, palette_size=2):
+def parse_coloring(text, num_edges):
     rows = _content_rows(text)
     if len(rows) != 1:
         raise ValueError("coloring sidecar must contain exactly one "
@@ -274,4 +274,4 @@ def parse_coloring(text, num_edges, palette_size=2):
     if len(digits) != num_edges:
         raise ValueError(f"coloring length {len(digits)} != edge count "
                          f"{num_edges}")
-    return EdgeColoring(tuple(int(ch) for ch in digits), palette_size)
+    return EdgeColoring(tuple(int(ch) for ch in digits), 2)

@@ -23,6 +23,8 @@ from math import comb
 from .berge import BergeCertificate, find_berge, verify_certificate
 from .hypergraph import Hypergraph, check_coloring
 
+DEFAULT_MAX_ATTEMPTS = 1000
+
 
 @dataclass(frozen=True)
 class ScatterSample:
@@ -45,7 +47,8 @@ def _is_scattered(subset, triples):
     return not any(t in triples for t in combinations(subset, 3))
 
 
-def sample_scattered_subset(hg, s, seed=0, max_attempts=1000):
+def sample_scattered_subset(hg, s, seed=0,
+                            max_attempts=DEFAULT_MAX_ATTEMPTS):
     """Rejection-sample a uniform s-subset until every hyperedge meets it
     in at most 2 vertices; None after max_attempts rejections."""
     if max_attempts < 0:

@@ -20,6 +20,7 @@ UNAVOIDABLE = "UNAVOIDABLE"
 AVOIDABLE = "AVOIDABLE"
 
 DEFAULT_COLORING_LIMIT = 2 ** 20
+DEFAULT_MAX_RESAMPLES = 10 ** 6
 
 
 class LimitExceededError(RuntimeError):
@@ -52,41 +53,35 @@ def unavoidable(hg, g1, g2, shard=None, limit=DEFAULT_COLORING_LIMIT):
     """Decide whether every 2-coloring of the host contains a blue Berge-G1
     or a red Berge-G2.
 
-    Colorings are visited in binary reflected Gray-code order over the free
-    edges (step s gives free edge j the color of bit j of s ^ (s >> 1));
-    the first coloring avoiding both targets becomes the AVOIDABLE witness.
-    That order is a depth-first search: free edges are colored from the
-    last down, and each node first tries the color equal to the XOR of the
-    colors set so far.  Containing a Berge target is monotone in a color
-    class, so a node is cut, with its whole subtree, as soon as the edge it
-    colors blue gives the blue class a Berge-G1 (or, colored red, gives the
-    red class a Berge-G2); the root checks both classes of the fixed edges.
-    The G1 and G2 searches are built once.
+    The colors of the first p edges are fixed by a prefix: `shard` when
+    given (a bit string, letting callers partition the space into
+    independent prefix shards), else "0" when g1 == g2 (color swap is a
+    symmetry, so edge 0 may be blue), else the empty prefix.  The free
+    edges p..m-1 are colored by a depth-first search from edge m - 1 down,
+    blue before red, so colorings are visited in plain binary order: free
+    edge i is bit i - p of the position.  Containing a Berge target is
+    monotone in a color class, so a node is cut, with its whole subtree,
+    as soon as the edge it colors blue gives the blue class a Berge-G1
+    (or, colored red, gives the red class a Berge-G2); the root checks
+    both classes of the prefix.  The G1 and G2 searches are built once.
 
-    `colorings_examined` is the Gray-code position of the witness plus
-    one, or every free coloring when UNAVOIDABLE: the count the plain
-    enumeration would make.  When g1 == g2 (and no shard is given) edge
-    0's color is fixed to 0, since color swap is a symmetry.  `shard`, a
-    bit string, instead fixes the colors of the first len(shard) edges,
-    letting callers partition the space into independent prefix shards.
-    Raises ValueError if `limit` < 1 and LimitExceededError if the free
-    space exceeds `limit`.
+    The first coloring avoiding both targets becomes the AVOIDABLE witness,
+    and `colorings_examined` is its position plus one; when UNAVOIDABLE it
+    is every free coloring, 2^(m - p).  Raises ValueError if `limit` < 1
+    and LimitExceededError if the free space exceeds `limit`.
     """
     _check_limit(limit)
     m = hg.num_edges
-    fixed = {}
-    if shard is not None:
-        if len(shard) > m or any(ch not in "01" for ch in shard):
-            raise ValueError(f"bad shard prefix {shard!r} for {m} edges")
-        fixed = {i: int(ch) for i, ch in enumerate(shard)}
-    elif g1 == g2 and m > 0:
-        fixed = {0: 0}
-
-    free = [i for i in range(m) if i not in fixed]
-    if 2 ** len(free) > limit:
+    if shard is None:
+        prefix = "0" if g1 == g2 and m > 0 else ""
+    elif len(shard) > m or any(ch not in "01" for ch in shard):
+        raise ValueError(f"bad shard prefix {shard!r} for {m} edges")
+    else:
+        prefix = shard
+    p = len(prefix)
+    if 2 ** (m - p) > limit:
         raise LimitExceededError(
-            f"{2 ** len(free)} colorings exceed the limit {limit}; "
-            f"use shards")
+            f"{2 ** (m - p)} colorings exceed the limit {limit}; use shards")
 
     first = BergeSearch(hg, g1)
     searches = (first, first if g2 == g1 else BergeSearch(hg, g2))
@@ -95,34 +90,26 @@ def unavoidable(hg, g1, g2, shard=None, limit=DEFAULT_COLORING_LIMIT):
         """Whether the color class `allowed` holds its target."""
         return searches[color].certificate(allowed) is not None
 
-    def visit(j, blue, red, s):
-        """(position, red class) of the first surviving leaf below the node
-        where free[j + 1:] are colored, or None.  `s` holds the position's
-        bits above j; its low bit is the XOR of the colors set so far."""
-        if j < 0:
-            return s, red
-        bit = 1 << free[j]
-        for step, color in enumerate((s & 1, s & 1 ^ 1)):
-            if color:
-                cut = holds(1, red | bit)
-                child = blue, red | bit
-            else:
-                cut = holds(0, blue | bit)
-                child = blue | bit, red
-            leaf = None if cut else visit(j - 1, *child, s << 1 | step)
-            if leaf is not None:
-                return leaf
-        return None
+    def visit(i, blue, red):
+        """The red class of the first surviving leaf below the node where
+        edges i + 1..m - 1 are colored, or None."""
+        if i < p:
+            return red
+        bit = 1 << i
+        leaf = None if holds(0, blue | bit) else visit(i - 1, blue | bit, red)
+        if leaf is None and not holds(1, red | bit):
+            leaf = visit(i - 1, blue, red | bit)
+        return leaf
 
-    red = sum(c << i for i, c in fixed.items())  # the color-1 edges
-    blue = sum(1 << i for i, c in fixed.items() if not c)
+    blue = sum(1 << i for i, ch in enumerate(prefix) if ch == "0")
+    red = sum(1 << i for i, ch in enumerate(prefix) if ch == "1")
     if not (holds(0, blue) or holds(1, red)):
-        leaf = visit(len(free) - 1, blue, red, 0)
-        if leaf is not None:
-            s, red = leaf
+        red = visit(m - 1, blue, red)
+        if red is not None:
             witness = EdgeColoring(tuple(red >> i & 1 for i in range(m)), 2)
-            return UnavoidabilityResult(AVOIDABLE, witness, s + 1, shard)
-    return UnavoidabilityResult(UNAVOIDABLE, None, 2 ** len(free), shard)
+            return UnavoidabilityResult(AVOIDABLE, witness, (red >> p) + 1,
+                                        shard)
+    return UnavoidabilityResult(UNAVOIDABLE, None, 2 ** (m - p), shard)
 
 
 def shard_prefixes(bits):
@@ -207,20 +194,19 @@ def _pair_block_map(hg):
     return block
 
 
-def _bad_events(hg, coloring, t):
+def _bad_events(block, colors, t):
     """Yield the bad events of `scan_bad_events` in lexicographic t_set
-    order, growing each vertex set one vertex at a time.
+    order, given the `_pair_block_map` table and one color per block,
+    growing each vertex set one vertex at a time.
 
     The first pair fixes the color.  A candidate vertex stays only while
     its block to every chosen vertex has that color and is not yet used;
     on a linear host an unused block is one holding no third chosen point,
     so a prefix that cannot become a bad event is dropped at once.
     """
-    check_coloring(hg, coloring)
-    block = _pair_block_map(hg)
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
-    n, colors = hg.n, coloring.colors
+    n = len(block) - 1
 
     def grow(chosen, used, cand, color):
         if len(chosen) == t:
@@ -258,7 +244,8 @@ def scan_bad_events(hg, coloring, t):
     the blocks all share one color.  The sets are enumerated by extension
     (`_bad_events`), so t-sets that fail on a prefix are never visited.
     """
-    return list(_bad_events(hg, coloring, t))
+    check_coloring(hg, coloring)
+    return list(_bad_events(_pair_block_map(hg), coloring.colors, t))
 
 
 @dataclass(frozen=True)
@@ -272,7 +259,8 @@ class MTRun:
     trace: tuple
 
 
-def moser_tardos_coloring(hg, t, seed=0, max_resamples=10 ** 6):
+def moser_tardos_coloring(hg, t, seed=0,
+                          max_resamples=DEFAULT_MAX_RESAMPLES):
     """Constructive local-lemma resampling on a linear covering host.
 
     Start from a uniform random 2-coloring; while monochromatic Berge-K_t
@@ -285,13 +273,14 @@ def moser_tardos_coloring(hg, t, seed=0, max_resamples=10 ** 6):
                          f"got {max_resamples}")
     rng = random.Random(seed)
     colors = [rng.randrange(2) for _ in range(hg.num_edges)]
+    block = _pair_block_map(hg)
     trace = []
     resamples = 0
     while True:
-        coloring = EdgeColoring(tuple(colors), 2)
-        event = next(_bad_events(hg, coloring, t), None)
+        event = next(_bad_events(block, colors, t), None)
         if event is None:
-            return MTRun(coloring, resamples, tuple(trace))
+            return MTRun(EdgeColoring(tuple(colors), 2), resamples,
+                         tuple(trace))
         if resamples >= max_resamples:
             return MTRun(None, resamples, tuple(trace))
         trace.append(event)
@@ -342,7 +331,8 @@ def lower_bound_certificate(hg, coloring, t):
     codegrees = [len(v) for v in hg.pair_edges().values()]
     if codegrees and min(codegrees) == max(codegrees) == 1:
         method = "bad-event-scan"
-        event = next(_bad_events(hg, coloring, t), None)
+        event = next(_bad_events(_pair_block_map(hg), coloring.colors, t),
+                     None)
         if event is not None:
             cert = find_berge(hg, target, coloring, event.color)
             raise VerificationFailure(

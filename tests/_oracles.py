@@ -49,43 +49,32 @@ def naive_contains_berge(hg, g, coloring=None, color=None):
     return False
 
 
-def naive_unavoidable(hg, g1, g2):
-    """Plain binary enumeration of all 2-colorings, no symmetry cut, no
-    Gray code; returns (verdict_is_unavoidable, witness_colors_or_None)."""
+def binary_unavoidable(hg, g1, g2, shard=None):
+    """The plain binary enumeration that `unavoidable` reproduces, on the
+    naive presence check.  A shard prefix fixes the leading p edges (edge
+    0 blue when g1 == g2 and no shard is given), and the x-th free
+    coloring gives edge i >= p the color of bit i - p of x.  Returns
+    (verdict, witness colors or None, colorings examined), the first
+    avoiding coloring being the witness."""
     m = hg.num_edges
-    for mask in range(2 ** m):
-        colors = tuple((mask >> i) & 1 for i in range(m))
+    if shard is None:
+        shard = "0" if g1 == g2 and m > 0 else ""
+    prefix = tuple(map(int, shard))
+    p = len(prefix)
+    for x in range(2 ** (m - p)):
+        colors = prefix + tuple(x >> (i - p) & 1 for i in range(p, m))
         coloring = EdgeColoring(colors, 2)
-        blue = naive_contains_berge(hg, g1, coloring, 0)
-        red = blue or naive_contains_berge(hg, g2, coloring, 1)
-        if not blue and not red:
-            return False, colors
-    return True, None
-
-
-def gray_unavoidable(hg, g1, g2, shard=None):
-    """The Gray-code enumeration that `unavoidable` reproduces, on the
-    naive presence check.  Edge 0 is fixed blue when g1 == g2, a shard
-    prefix fixes the leading edges, and step s colors free edge j with bit
-    j of s ^ (s >> 1).  Returns (verdict, witness colors or None,
-    colorings examined), the first avoiding coloring being the witness."""
-    m = hg.num_edges
-    fixed = {}
-    if shard is not None:
-        fixed = {i: int(ch) for i, ch in enumerate(shard)}
-    elif g1 == g2 and m > 0:
-        fixed = {0: 0}
-    free = [i for i in range(m) if i not in fixed]
-    for step in range(2 ** len(free)):
-        gray = step ^ (step >> 1)
-        colors = [fixed.get(i, 0) for i in range(m)]
-        for j, i in enumerate(free):
-            colors[i] = (gray >> j) & 1
-        coloring = EdgeColoring(tuple(colors), 2)
         if not (naive_contains_berge(hg, g1, coloring, 0)
                 or naive_contains_berge(hg, g2, coloring, 1)):
-            return "AVOIDABLE", tuple(colors), step + 1
-    return "UNAVOIDABLE", None, 2 ** len(free)
+            return "AVOIDABLE", colors, x + 1
+    return "UNAVOIDABLE", None, 2 ** (m - p)
+
+
+def naive_unavoidable(hg, g1, g2):
+    """The binary enumeration of all 2^m colorings, no symmetry cut;
+    returns (verdict_is_unavoidable, witness_colors_or_None)."""
+    verdict, witness, _ = binary_unavoidable(hg, g1, g2, shard="")
+    return verdict == "UNAVOIDABLE", witness
 
 
 def random_hypergraph(rng, n_max=6, m_max=8, k_max=4):

@@ -2,10 +2,12 @@ import json
 
 import pytest
 
-from coverramsey import (complete_graph, complete_host, format_hypergraph,
-                         parse_design)
+from coverramsey import (complete_graph, complete_host,
+                         construct_resolvable_bibd, design_to_hypergraph,
+                         format_hypergraph, parse_design)
 from coverramsey.cli import build_parser, main
-from coverramsey.search import DEFAULT_COLORING_LIMIT
+from coverramsey.reductions import DEFAULT_MAX_ATTEMPTS
+from coverramsey.search import DEFAULT_COLORING_LIMIT, DEFAULT_MAX_RESAMPLES
 
 from _oracles import fano
 
@@ -150,6 +152,21 @@ class TestUnavoidable:
                    "-o", out) == 0
         assert run("verify", out) == 0
 
+    def test_version_0_1_0_record_verifies(self, files, capsys):
+        # 0.1.0 visited colorings in Gray-code order; verify checks the
+        # witness, not its position, so such records still verify
+        out = files["dir"] / "unavoid.json"
+        assert run("unavoidable", files["k5"], files["k3"], files["k3"],
+                   "-o", out) == 0
+        record = json.loads(out.read_text())
+        record["manifest"]["version"] = "0.1.0"
+        record.update(witness="0011101100", colorings_examined=76)
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 0
+        assert capsys.readouterr().out == (
+            "witness re-verified (avoids both targets)\n")
+
     def test_unknown_verdict_is_malformed(self, files, capsys):
         out = files["dir"] / "unavoid.json"
         assert run("unavoidable", files["k6"], files["k3"], files["k3"],
@@ -289,6 +306,10 @@ class TestMtLllAndCertify:
             "error: max resamples must be non-negative, got -1"]
         assert not out.exists()
 
+    def test_default_max_resamples_is_the_library_default(self):
+        args = build_parser().parse_args(["mt-lll", "h", "4"])
+        assert args.max_resamples == DEFAULT_MAX_RESAMPLES
+
 
 class TestScatter:
     def test_sample_found(self, files, capsys):
@@ -322,6 +343,58 @@ class TestScatter:
         out = files["dir"] / "scatter.json"
         assert run("scatter", files["fano"], "3", "-o", out) == 0
         assert run("verify", out) == 0
+
+    def test_default_max_attempts_is_the_library_default(self):
+        args = build_parser().parse_args(["scatter", "h", "3"])
+        assert args.max_attempts == DEFAULT_MAX_ATTEMPTS
+
+    def test_absence_verifies_under_the_recorded_max_attempts(self, files):
+        # seed 2 finds a scattered 3-set of the Fano plane at attempt 3
+        out = files["dir"] / "scatter.json"
+        assert run("scatter", files["fano"], "3", "--seed", "2",
+                   "--max-attempts", "2", "-o", out) == 2
+        assert json.loads(out.read_text())["found"] is False
+        assert run("verify", out) == 0
+
+    @pytest.mark.parametrize("n,k,argv,field,value,message", [
+        (25, 5, ["3", "--seed", "2"], "found", False,
+         "found mismatch: recomputed True, recorded False"),
+        (27, 3, ["4", "--trials", "200", "--seed", "3"], "attempts", 999,
+         "attempts mismatch: recomputed 2, recorded 999"),
+    ])
+    def test_forged_sample_field_exit_3(self, files, capsys, n, k, argv,
+                                        field, value, message):
+        host = files["dir"] / f"d{n}.hg"
+        host.write_text(format_hypergraph(
+            design_to_hypergraph(construct_resolvable_bibd(n, k))))
+        out = files["dir"] / "scatter.json"
+        assert run("scatter", host, *argv, "-o", out) == 0
+        record = json.loads(out.read_text())
+        assert run("verify", out) == 0
+        record[field] = value
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 3
+        assert capsys.readouterr().out == message + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["scatter", "fano.hg", "three"], ["mt-lll", "fano.hg", "3"],
+        ["scatter", "fano.hg", "3", "--max-attempts"], ["--version"], None])
+    def test_argv_that_does_not_parse_is_malformed(self, files, capsys,
+                                                   argv):
+        out = files["dir"] / "scatter.json"
+        assert run("scatter", files["fano"], "3", "-o", out) == 0
+        record = json.loads(out.read_text())
+        record["manifest"]["argv"] = argv
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # argparse's usage and version go nowhere
+        assert captured.err.splitlines()[0] == (
+            f"error: malformed scatter-sample record: argv {argv!r} is not "
+            f"a scatter command")
+        assert "usage:" not in captured.err
 
     @pytest.mark.parametrize("field,value,message", [
         ("subset", [1, 1, 999], "subset is not 6 distinct vertices in 1..6"),

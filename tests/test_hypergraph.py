@@ -200,7 +200,7 @@ class TestColoringSidecar:
 
     def test_color_outside_palette(self):
         with pytest.raises(ValueError):
-            parse_coloring("012\n", 3, palette_size=2)
+            parse_coloring("012\n", 3)
 
     def test_sidecar_rejects_wide_palettes(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ import coverramsey.search
 from coverramsey.berge import BergeSearch
 from coverramsey.search import shard_prefixes
 
-from _oracles import (fano, gray_unavoidable, naive_bad_events,
+from _oracles import (binary_unavoidable, fano, naive_bad_events,
                       naive_unavoidable, random_hypergraph)
 
 K2 = complete_graph(2)
@@ -128,7 +128,7 @@ class TestUnavoidable:
         # the same count as the unsharded search with edge 0 fixed
         assert merged.colorings_examined == 4
 
-    def test_gray_code_first_witness_is_deterministic(self):
+    def test_binary_first_witness_is_deterministic(self):
         hg = complete_host(5)
         a = unavoidable(hg, K3, K3)
         b = unavoidable(hg, K3, K3)
@@ -139,21 +139,23 @@ C4 = cycle_graph(4)
 P4 = path_graph(4)
 
 # (n, g1, g2): (verdict, witness, colorings_examined) of unavoidable on
-# K_n, then of unavoidable_sharded with 2 shard bits; computed with the
-# list-based Berge search that the bitmask search replaced, except that a
-# sharded g1 == g2 search now skips the color-swapped "1..." shards
+# K_n, then of unavoidable_sharded with 2 shard bits; the UNAVOIDABLE rows
+# were computed with the list-based Berge search that the bitmask search
+# replaced, the AVOIDABLE rows with `binary_unavoidable` (plain binary
+# order), and a sharded g1 == g2 search skips the color-swapped "1..."
+# shards
 PINNED = {
-    (5, "K3", "K3"): (("AVOIDABLE", "0011101100", 76),
-                      ("AVOIDABLE", "0011101100", 38)),
-    (5, "C4", "C4"): (("AVOIDABLE", "0011101100", 76),
-                      ("AVOIDABLE", "0011101100", 38)),
-    (5, "K3", "P4"): (("AVOIDABLE", "0110001100", 133),
-                      ("AVOIDABLE", "0001110100", 53)),
+    (5, "K3", "K3"): (("AVOIDABLE", "0011101100", 111),
+                      ("AVOIDABLE", "0011101100", 56)),
+    (5, "C4", "C4"): (("AVOIDABLE", "0111100100", 80),
+                      ("AVOIDABLE", "0011101100", 56)),
+    (5, "K3", "P4"): (("AVOIDABLE", "0001110100", 185),
+                      ("AVOIDABLE", "0001110100", 47)),
     (6, "K3", "K3"): (("UNAVOIDABLE", None, 16384),
                       ("UNAVOIDABLE", None, 16384)),
     (6, "C4", "C4"): (("UNAVOIDABLE", None, 16384), None),
-    (6, "K3", "P4"): (("AVOIDABLE", "010010110001100", 4253),
-                      ("AVOIDABLE", "001101001001100", 1139)),
+    (6, "K3", "P4"): (("AVOIDABLE", "100010001110100", 5906),
+                      ("AVOIDABLE", "001101001001100", 1612)),
 }
 
 
@@ -202,9 +204,9 @@ class TestPinnedVerdicts:
 
 
 class TestPrunedSearch:
-    def test_matches_gray_code_oracle(self):
-        # the pruned search visits colorings in the plain Gray-code order,
-        # so verdict, witness and count all equal the enumeration's
+    def test_matches_binary_oracle(self):
+        # the pruned search visits colorings in plain binary order, so
+        # verdict, witness and count all equal the enumeration's
         rng = random.Random(2024)
         targets = [P3, K3, P4, C4]
         verdicts = set()
@@ -215,7 +217,7 @@ class TestPrunedSearch:
             for shard in (None, "", "0", "1", "10"):
                 if shard is not None and len(shard) > hg.num_edges:
                     continue
-                want = gray_unavoidable(hg, g1, g2, shard)
+                want = binary_unavoidable(hg, g1, g2, shard)
                 res = unavoidable(hg, g1, g2, shard)
                 witness = None if res.witness is None else res.witness.colors
                 assert (res.verdict, witness, res.colorings_examined) \
@@ -389,6 +391,19 @@ class TestMoserTardos:
         run = moser_tardos_coloring(hg, t, seed=0)
         assert run.resamples == len(run.trace) == resamples
         assert scan_bad_events(hg, run.coloring, t) == []
+
+    def test_builds_only_the_returned_coloring(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(EdgeColoring(*args))
+            return built[-1]
+
+        monkeypatch.setattr(coverramsey.search, "EdgeColoring", counted)
+        hg = design_to_hypergraph(construct_resolvable_bibd(21, 3))
+        run = moser_tardos_coloring(hg, 5, seed=0)
+        assert run.resamples == 35
+        assert built == [run.coloring]
 
     def test_t2_never_succeeds(self):
         hg = d9_host()
