@@ -8,7 +8,12 @@ Implemented families:
 * n = k^d for prime-power k and d >= 1: the lines of the d-dimensional
   affine space AG(d, k), one parallel class per direction.  This covers
   the one-block designs (d = 1), the affine planes (d = 2) and the
-  one-factorizations of K_{2^d} (k = 2).
+  one-factorizations of K_{2^d} (k = 2).  The field GF(k), k = p^e, is
+  built directly as addition and multiplication tables on 0..k-1: base-p
+  digit i of an element is its x^i coefficient, addition is digit-wise
+  mod p, and products are reduced modulo the first monic irreducible
+  x^e + r (r read as an element), found as the first r whose tables have
+  no zero divisors.
 * k = 3, n = 15: a fixed verified system (found once by exhaustive
   backtracking; frozen below).
 * k = 3, n = 3q for q in {7, 13, 19, 25} (q = 6t + 1): a direct
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import isqrt
 
 from .hypergraph import Hypergraph, _content_rows, _header, _ints
 
@@ -128,113 +134,74 @@ def design_to_hypergraph(design):
 # -- finite fields ------------------------------------------------------------
 
 
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return out
+def _prime_power(q):
+    """(p, e) with q = p^e for a prime p, or None if q is not a prime power."""
+    if q < 2:
+        return None
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    e = 0
+    while q % p == 0:
+        q //= p
+        e += 1
+    return (p, e) if q == 1 else None
 
 
-def _poly_mod(poly, mod, p):
-    poly = list(poly)
-    while len(poly) >= len(mod):
-        lead = poly[-1]
-        if lead:
-            shift = len(poly) - len(mod)
-            for i, c in enumerate(mod):
-                poly[shift + i] = (poly[shift + i] - lead * c) % p
-        poly.pop()
-    return poly
+def _gf_tables(q):
+    """The addition and multiplication tables of GF(q), q = p^e a prime
+    power.  Element a is the polynomial over GF(p) whose x^i coefficient
+    is base-p digit i of a, taken modulo x^e + r for the first r in
+    0..q-1 whose quotient ring has no zero divisors, i.e. is a field."""
+    p, e = _prime_power(q)
+    add = [list(range(q))]
+    for a in range(1, q):  # digit 0 mod p; the higher digits by their row
+        up = add[a // p]
+        add.append([(a + b) % p + p * up[b // p] for b in range(q)])
 
-
-def _monic_polys(deg, p):
-    """Monic degree-`deg` polynomials over GF(p), constant term first."""
-    for val in range(p ** deg):
-        coeffs, v = [], val
-        for _ in range(deg):
-            coeffs.append(v % p)
-            v //= p
-        yield coeffs + [1]
-
-
-class _GF:
-    """Arithmetic tables for GF(p^e), elements encoded as 0..q-1 in base p.
-
-    For e > 1 the modulus is the first monic irreducible polynomial of
-    degree e over GF(p) in lexicographic coefficient order, found by trial
-    division against all lower-degree monic polynomials.
-    """
-
-    def __init__(self, q):
-        p, e = _prime_power(q)
-        self.q, self.p, self.e = q, p, e
-        if e == 1:
-            self.add = [[(a + b) % p for b in range(p)] for a in range(p)]
-            self.mul = [[(a * b) % p for b in range(p)] for a in range(p)]
-            return
-        modulus = next(
-            cand for cand in _monic_polys(e, p)
-            if not any(not any(_poly_mod(cand, div, p))
-                       for d in range(1, e // 2 + 1)
-                       for div in _monic_polys(d, p)))
-        elems = [self._digits(a) for a in range(q)]
-        self.add = [[self._encode([(x + y) % p for x, y in zip(ea, eb)])
-                     for eb in elems] for ea in elems]
-        self.mul = [[self._encode(_poly_mod(_poly_mul(ea, eb, p), modulus, p))
-                     for eb in elems] for ea in elems]
-
-    def _digits(self, a):
-        out = []
-        for _ in range(self.e):
-            out.append(a % self.p)
-            a //= self.p
+    def row(shifts):
+        """sum_i b_i shifts[i] for every b < p^len(shifts): shifts[i] plus
+        the entry whose top digit i is one less."""
+        out = [0]
+        for i, s in enumerate(shifts):
+            step, w = add[s], p ** i
+            for b in range(w, w * p):
+                out.append(step[out[b - w]])
         return out
 
-    def _encode(self, coeffs):
-        padded = (list(coeffs) + [0] * self.e)[:self.e]
-        val = 0
-        for c in reversed(padded):
-            val = val * self.p + c
-        return val
-
-
-def _prime_power(q):
-    if q < 2:
-        raise UnsupportedParametersError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if p * p > q and p != q:
-            break
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise UnsupportedParametersError(f"{q} is not a prime power")
-            return p, e
-    return q, 1
+    for r in range(q):  # x^e + r is irreducible for some r
+        # x times each element: x^i shifts up a digit, and x^e = -r
+        times_x = row([p ** i for i in range(1, e)] + [add[r].index(0)])
+        mul = [[0] * q]
+        for a in range(1, q):
+            shifts = [a]  # a x^i for i < e
+            while len(shifts) < e:
+                shifts.append(times_x[shifts[-1]])
+            mul.append(row(shifts))
+            if mul[a].count(0) > 1:
+                break  # a zero divisor: x^e + r has a factor
+        else:
+            return add, mul
 
 
 def _affine_classes(q, d):
     """Parallel classes of AG(d, q), one per direction.  Point
     (c_0, ..., c_{d-1}) gets id 1 + sum c_i q^i.  The directions are the
     vectors whose top nonzero coordinate is 1, in ascending id order; each
-    class lists its lines in ascending order."""
-    gf = _GF(q)
+    class lists its lines in ascending order.  Coordinates are GF(q)
+    elements 0..q-1 and all field arithmetic is a lookup in the tables of
+    `_gf_tables`."""
+    add, mul = _gf_tables(q)
     vecs = [tuple(a // q ** i % q for i in range(d)) for a in range(q ** d)]
     pid = {v: a + 1 for a, v in enumerate(vecs)}
     classes = []
     for v in vecs[1:]:
         if next(c for c in reversed(v) if c) != 1:
             continue
-        ray = [tuple(gf.mul[t][c] for c in v) for t in range(q)]
+        ray = [tuple(mul[t][c] for c in v) for t in range(q)]
         seen, cls = set(), []
         for base in vecs:  # ascending, so each line starts at its base
             if base in seen:
                 continue
-            line = [tuple(gf.add[b][c] for b, c in zip(base, r)) for r in ray]
+            line = [tuple(add[b][c] for b, c in zip(base, r)) for r in ray]
             seen.update(line)
             cls.append(tuple(sorted(pid[p] for p in line)))
         classes.append(tuple(cls))
@@ -306,14 +273,6 @@ def _kts_three_q_classes(q):
     return classes
 
 
-def _is_prime_power(q):
-    try:
-        _prime_power(q)
-        return True
-    except UnsupportedParametersError:
-        return False
-
-
 def construct_resolvable_bibd(n, k):
     """Build a resolvable design for a supported (n, k); raises
     UnsupportedParametersError otherwise.  Output is deterministic and
@@ -324,7 +283,7 @@ def construct_resolvable_bibd(n, k):
     while m % k == 0:
         m //= k
         d += 1
-    if m == 1 and _is_prime_power(k):
+    if m == 1 and _prime_power(k):
         return ResolvableDesign.from_lists(n, k, _affine_classes(k, d))
     if k == 3:
         if n % 6 != 3:

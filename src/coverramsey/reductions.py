@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 from .berge import BergeCertificate, find_berge, verify_certificate
@@ -35,16 +35,24 @@ class ScatterSample:
     seed: int
 
 
-def _covered_triples(hg):
-    """All 3-element vertex sets contained in some hyperedge."""
-    triples = set()
-    for edge in hg.edges:
-        triples.update(combinations(edge, 3))
-    return triples
+def _draws(hg, s, seed):
+    """The seeded stream of draws that the sampler and the trial counter
+    read: each draw is (a uniform s-subset, sorted, whether every
+    hyperedge meets it in at most 2 vertices).  The host and `s` are
+    checked here, before any draw is taken."""
+    if not hg.is_covering():
+        raise ValueError("host must be covering")
+    if not 0 <= s <= hg.n:
+        raise ValueError(f"subset size {s} outside 0..{hg.n}")
+    rng = random.Random(seed)
+    triples = {t for edge in hg.edges for t in combinations(edge, 3)}
 
+    def draws():
+        while True:
+            subset = tuple(sorted(rng.sample(range(1, hg.n + 1), s)))
+            yield subset, triples.isdisjoint(combinations(subset, 3))
 
-def _is_scattered(subset, triples):
-    return not any(t in triples for t in combinations(subset, 3))
+    return draws()
 
 
 def sample_scattered_subset(hg, s, seed=0,
@@ -54,15 +62,9 @@ def sample_scattered_subset(hg, s, seed=0,
     if max_attempts < 0:
         raise ValueError(f"max attempts must be non-negative, "
                          f"got {max_attempts}")
-    if not hg.is_covering():
-        raise ValueError("host must be covering")
-    if not 0 <= s <= hg.n:
-        raise ValueError(f"subset size {s} outside 0..{hg.n}")
-    rng = random.Random(seed)
-    triples = _covered_triples(hg)
-    for attempt in range(1, max_attempts + 1):
-        subset = tuple(sorted(rng.sample(range(1, hg.n + 1), s)))
-        if _is_scattered(subset, triples):
+    draws = islice(_draws(hg, s, seed), max_attempts)
+    for attempt, (subset, scattered) in enumerate(draws, 1):
+        if scattered:
             return ScatterSample(subset, attempt, seed)
     return None
 
@@ -73,15 +75,8 @@ def scatter_rejection_trials(hg, s, trials, seed=0):
     rejection rate against the analytic union bound."""
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
-    if not hg.is_covering():
-        raise ValueError("host must be covering")
-    rng = random.Random(seed)
-    triples = _covered_triples(hg)
-    rejected = 0
-    for _ in range(trials):
-        subset = rng.sample(range(1, hg.n + 1), s)
-        if not _is_scattered(sorted(subset), triples):
-            rejected += 1
+    draws = islice(_draws(hg, s, seed), trials)
+    rejected = sum(not scattered for _, scattered in draws)
     return rejected, trials
 
 
@@ -115,7 +110,13 @@ def trace_coloring(hg, coloring, sample):
     check_coloring(hg, coloring)
     if coloring.palette_size != 2:
         raise ValueError("trace expects a 2-colored host")
+    if not hg.is_covering():
+        raise ValueError("host must be covering")
     sset = set(sample.subset)
+    if (list(sample.subset) != sorted(sset)
+            or any(not 1 <= v <= hg.n for v in sset)):
+        raise ValueError(f"sample is not ascending distinct vertices in "
+                         f"1..{hg.n}")
     if any(len(sset.intersection(e)) > 2 for e in hg.edges):
         raise ValueError("sample is not scattered in this host")
     pair_edges = hg.pair_edges()
@@ -125,8 +126,7 @@ def trace_coloring(hg, coloring, sample):
         # any edge containing both endpoints meets the scattered subset in
         # exactly this pair, so the first containing edge is admissible
         cand = pair_edges.get(pair, ())
-        assert cand, \
-            f"no admissible hyperedge for pair {pair} (host not covering?)"
+        assert cand, f"pair {pair} of a covering host has no hyperedge"
         choice = cand[0]
         pair_color[pair] = coloring.colors[choice]
         provenance[pair] = choice

@@ -11,8 +11,8 @@ import random
 from contextlib import ExitStack
 from dataclasses import dataclass
 
-from .berge import (BergeSearch, complete_graph, contains_mono_berge,
-                    find_berge)
+from .berge import (BergeCertificate, BergeSearch, complete_graph,
+                    contains_mono_berge, verify_certificate)
 from .hypergraph import (EdgeColoring, check_coloring, complete_host,
                          format_coloring, format_hypergraph)
 
@@ -248,6 +248,12 @@ def scan_bad_events(hg, coloring, t):
     return list(_bad_events(_pair_block_map(hg), coloring.colors, t))
 
 
+def _check_t(t):
+    # Berge-K_0 and Berge-K_1 have no edges, so every coloring holds one
+    if t < 2:
+        raise ValueError(f"t must be at least 2, got {t}")
+
+
 @dataclass(frozen=True)
 class MTRun:
     """Outcome of a Moser-Tardos run: the good coloring (or None on
@@ -267,7 +273,9 @@ def moser_tardos_coloring(hg, t, seed=0,
     sets remain, re-randomize the blocks of the lexicographically least
     one.  The returned coloring (when found) scans clean, i.e. the host
     has no monochromatic Berge-K_t under it.  Deterministic per seed.
+    Raises ValueError for t < 2, where every coloring holds a Berge-K_t.
     """
+    _check_t(t)
     if max_resamples < 0:
         raise ValueError(f"max resamples must be non-negative, "
                          f"got {max_resamples}")
@@ -320,8 +328,9 @@ def lower_bound_certificate(hg, coloring, t):
     Linear hosts are checked by an exhaustive bad-event scan (equivalent
     on such hosts); general covering hosts by the Berge search itself.
     Raises VerificationFailure carrying the offending certificate if a
-    monochromatic copy exists.
+    monochromatic copy exists, and ValueError for t < 2.
     """
+    _check_t(t)
     if not hg.is_covering():
         raise ValueError("host must be covering")
     check_coloring(hg, coloring)
@@ -331,10 +340,17 @@ def lower_bound_certificate(hg, coloring, t):
     codegrees = [len(v) for v in hg.pair_edges().values()]
     if codegrees and min(codegrees) == max(codegrees) == 1:
         method = "bad-event-scan"
-        event = next(_bad_events(_pair_block_map(hg), coloring.colors, t),
-                     None)
+        block = _pair_block_map(hg)
+        event = next(_bad_events(block, coloring.colors, t), None)
         if event is not None:
-            cert = find_berge(hg, target, coloring, event.color)
+            # the event is the copy: K_t's vertex i on t_set[i - 1], and
+            # each edge on the one block of its pair
+            vmap = dict(enumerate(event.t_set, 1))
+            cert = BergeCertificate.from_dicts(
+                vmap, {ei: block[vmap[u]][vmap[v]]
+                       for ei, (u, v) in enumerate(target.edges)})
+            assert verify_certificate(hg, target, cert, coloring,
+                                      event.color)
             raise VerificationFailure(
                 f"monochromatic Berge-K_{t} on {event.t_set} "
                 f"in color {event.color}", event.color, cert)

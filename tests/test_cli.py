@@ -281,6 +281,41 @@ class TestMtLllAndCertify:
         assert run("verify", out) == 3
         assert capsys.readouterr().out.startswith("host_text mismatch: ")
 
+    @pytest.mark.parametrize("t", ["0", "1"])
+    @pytest.mark.parametrize("command", ["mt-lll", "certify-lower"])
+    def test_t_below_2_exit_1(self, files, capsys, command, t):
+        d9 = files["dir"] / "d9.hg"
+        d9.write_text(format_hypergraph(
+            design_to_hypergraph(construct_resolvable_bibd(9, 3))))
+        col = files["dir"] / "d9.col"
+        col.write_text("010101010101\n")
+        out = files["dir"] / "lb.json"
+        argv = [d9, t] if command == "mt-lll" else [d9, col, t]
+        assert run(command, *argv, "-o", out) == 1
+        assert error_lines(capsys) == [f"error: t must be at least 2, got {t}"]
+        assert not out.exists()
+
+    def test_verify_rejects_t1_record(self, files, capsys):
+        # the record that mt-lll once wrote for t = 1 on D(9,3)
+        d9 = files["dir"] / "d9.hg"
+        d9.write_text(format_hypergraph(
+            design_to_hypergraph(construct_resolvable_bibd(9, 3))))
+        out = files["dir"] / "lb.json"
+        assert run("mt-lll", d9, "4", "-o", out) == 0
+        record = json.loads(out.read_text())
+        record.update(t=1, statement="R̂³(BK₁,BK₁) ≥ 10")
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 1
+        assert error_lines(capsys) == ["error: t must be at least 2, got 1"]
+
+    @pytest.mark.parametrize("command", ["certify-lower", "reduce-product"])
+    def test_empty_coloring_path_exit_1(self, files, capsys, command):
+        extra = ["3"] if command == "certify-lower" else []
+        assert run(command, files["fano"], "", *extra) == 1
+        err = error_lines(capsys)
+        assert len(err) == 1 and err[0].startswith("error: cannot read ")
+
     def test_certify_lower_rejects_bad_coloring_exit_3(self, files):
         col = files["dir"] / "allblue.col"
         col.write_text("0" * 15 + "\n")
@@ -338,6 +373,11 @@ class TestScatter:
         assert error_lines(capsys) == [
             "error: max attempts must be non-negative, got -3"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [[], ["--trials", "5"]])
+    def test_subset_size_out_of_range_exit_1(self, files, capsys, extra):
+        assert run("scatter", files["fano"], "99", *extra) == 1
+        assert error_lines(capsys) == ["error: subset size 99 outside 0..7"]
 
     def test_record_verifies(self, files, capsys):
         out = files["dir"] / "scatter.json"

@@ -8,7 +8,7 @@ from coverramsey import (ResolvableDesign, UnsupportedParametersError,
                          construct_resolvable_bibd, design_to_hypergraph,
                          format_design, parse_design, verify_resolvable_bibd)
 from coverramsey.designs import (CLASS_COUNT_FAIL, PAIR_COUNT_FAIL,
-                                 PARTITION_FAIL)
+                                 PARTITION_FAIL, _gf_tables, _prime_power)
 
 
 def is_prime_power(q):
@@ -108,6 +108,24 @@ class TestConstruction:
         design = construct_resolvable_bibd(n, k)
         assert design.classes[0][0] == tuple(range(1, k + 1))
         assert sha256(format_design(design)) == digest
+
+    @pytest.mark.parametrize("n,k,digest", [
+        (64, 4,
+         "bc09d2f503121977df02784edbc6a9fd02ee4e22e132b0d5f24b655e62c7b938"),
+        (256, 4,
+         "aa7291abbb4bd236b8d817963f3ca447442b6098eaf70a413ff1b059ac1b184c"),
+        (64, 8,
+         "609cb57cf545dd286d3dddc684767b2009ff0f72aa4702f8c6f2f5244abba1e9"),
+        (81, 9,
+         "a342976d54ac5f654b718a986bd59d8fb14cbd62e419950ed6272189c6d23a58"),
+        (256, 16,
+         "cc69f14cedb1276719eefeeac6dd974ae769196d6dfaaaaf930590bd731c1b52"),
+    ])
+    def test_affine_gf_prime_power_text_pinned(self, n, k, digest):
+        # digests of the designs built over GF(p^e) with polynomial
+        # arithmetic and a trial-division search for the modulus
+        assert sha256(format_design(construct_resolvable_bibd(n, k))) \
+            == digest
 
     def test_supported_parameters_sweep(self, sweep):
         expected = ({(k ** d, k) for k in range(2, 17) if is_prime_power(k)
@@ -241,3 +259,34 @@ class TestTextFormat:
         text = format_design(design).replace("9 3 4", "9 3 5", 1)
         with pytest.raises(ValueError):
             parse_design(text)
+
+
+class TestField:
+    @pytest.mark.parametrize("q", [q for q in range(2, 33)
+                                   if is_prime_power(q)])
+    def test_field_axioms(self, q):
+        add, mul = _gf_tables(q)
+        els = range(q)
+        for a in els:
+            assert add[a][0] == a and mul[a][1] == a and mul[a][0] == 0
+            assert 0 in add[a]
+            assert a == 0 or 1 in mul[a]
+            for b in els:
+                assert add[a][b] == add[b][a] and mul[a][b] == mul[b][a]
+                for c in els:
+                    assert add[add[a][b]][c] == add[a][add[b][c]]
+                    assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+                    assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+        if len({p for p in range(2, q + 1) if q % p == 0}) == 1:  # prime
+            assert add == [[(a + b) % q for b in els] for a in els]
+            assert mul == [[a * b % q for b in els] for a in els]
+
+    @pytest.mark.parametrize("q", [0, 1, 6, 12, 100])
+    def test_not_a_prime_power(self, q):
+        assert _prime_power(q) is None
+
+    @pytest.mark.parametrize("q,pe", [(2, (2, 1)), (4, (2, 2)),
+                                      (243, (3, 5)), (251, (251, 1)),
+                                      (256, (2, 8))])
+    def test_prime_power(self, q, pe):
+        assert _prime_power(q) == pe

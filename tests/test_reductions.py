@@ -54,6 +54,19 @@ class TestScatterSampling:
         with pytest.raises(ValueError):
             sample_scattered_subset(fano(), 8)
 
+    def test_trials_check_subset_size(self):
+        for trials in (0, 5):
+            with pytest.raises(ValueError,
+                               match=r"subset size 99 outside 0\.\.7"):
+                scatter_rejection_trials(fano(), 99, trials)
+
+    def test_non_covering_host_raises_with_no_draws(self):
+        hg = Hypergraph(4, [(1, 2, 3)])
+        with pytest.raises(ValueError, match="host must be covering"):
+            scatter_rejection_trials(hg, 2, 0)
+        with pytest.raises(ValueError, match="host must be covering"):
+            sample_scattered_subset(hg, 2, max_attempts=0)
+
     def test_deterministic_per_seed(self):
         a = sample_scattered_subset(fano(), 3, seed=9)
         b = sample_scattered_subset(fano(), 3, seed=9)
@@ -136,6 +149,18 @@ class TestTraceColoring:
             trace = trace_coloring(hg, coloring, sample)
             values = list(trace.provenance.values())
             assert len(set(values)) == len(values)
+
+    def test_non_covering_host_rejected(self):
+        hg = Hypergraph(4, [(1, 2, 3)])
+        with pytest.raises(ValueError, match="host must be covering"):
+            trace_coloring(hg, EdgeColoring((0,), 2),
+                           ScatterSample((1, 4), 1, 0))
+
+    @pytest.mark.parametrize("subset", [(1, 1, 2), (0, 1), (2, 1)])
+    def test_bad_sample_vertices_rejected(self, subset):
+        with pytest.raises(ValueError, match="ascending distinct vertices"):
+            trace_coloring(fano(), EdgeColoring((0,) * 7, 2),
+                           ScatterSample(subset, 1, 0))
 
     def test_unscattered_sample_rejected(self):
         forged = ScatterSample((1, 2, 3), 1, 0)

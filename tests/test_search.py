@@ -454,3 +454,34 @@ class TestLowerBoundCertificate:
         with pytest.raises(ValueError):
             lower_bound_certificate(Hypergraph(4, [(1, 2, 3)]),
                                     EdgeColoring((0,), 2), 3)
+
+    @pytest.mark.parametrize("t", [0, 1])
+    @pytest.mark.parametrize("linear", [True, False])
+    def test_t_below_2_rejected(self, t, linear):
+        # Berge-K_0 and Berge-K_1 have no edges: every coloring holds one
+        hg = (d9_host() if linear
+              else Hypergraph(7, list(fano().edges) + [(1, 2, 4)]))
+        coloring = EdgeColoring((0, 1) * (hg.num_edges // 2), 2)
+        with pytest.raises(ValueError, match=f"t must be at least 2, got {t}"):
+            lower_bound_certificate(hg, coloring, t)
+        with pytest.raises(ValueError, match=f"t must be at least 2, got {t}"):
+            moser_tardos_coloring(hg, t, seed=0)
+
+    def test_failing_scan_certificate_is_the_event(self, monkeypatch):
+        hg = design_to_hypergraph(construct_resolvable_bibd(27, 3))
+        coloring = EdgeColoring((1,) * hg.num_edges, 2)
+        event = scan_bad_events(hg, coloring, 4)[0]
+
+        def no_search(*args):
+            raise AssertionError("a BergeSearch was built")
+
+        monkeypatch.setattr(BergeSearch, "__init__", no_search)
+        with pytest.raises(VerificationFailure) as exc_info:
+            lower_bound_certificate(hg, coloring, 4)
+        exc = exc_info.value
+        assert exc.color == event.color == 1
+        assert exc.certificate.vertex_dict() == dict(enumerate(event.t_set, 1))
+        assert sorted(exc.certificate.edge_dict().values()) \
+            == list(event.blocks)
+        assert verify_certificate(hg, complete_graph(4), exc.certificate,
+                                  coloring, 1)
