@@ -104,30 +104,32 @@ def verify_certificate(hg, g, cert, coloring=None, color=None):
     return VerifyResult(True)
 
 
+def _augment(cands, owner, i, seen):
+    """Kuhn's augmenting path from graph edge i, over the matching `owner`
+    (hyperedge bit -> graph edge) of the candidate bitmasks `cands`: bits
+    are tried from low to high, skipping those in seen[0], which the
+    search adds to.  Returns the free bit the path ends at, or 0."""
+    avail = cands[i] & ~seen[0]
+    while avail:
+        bit = avail & -avail
+        seen[0] |= bit
+        j = owner.get(bit)
+        end = bit if j is None else _augment(cands, owner, j, seen)
+        if end:
+            owner[bit] = i
+            return end
+        avail = cands[i] & ~seen[0]
+    return 0
+
+
 def _kuhn(cands):
     """Kuhn's augmenting-path matching on candidate bitmasks, one per
     graph edge, trying bits from low to high (ascending hyperedge order).
     Returns the chosen hyperedge index per graph edge, or None when no
     matching covers every graph edge."""
-    owner = {}  # hyperedge bit -> graph edge
-    seen = 0
-
-    def augment(i):
-        nonlocal seen
-        free = cands[i] & ~seen
-        while free:
-            bit = free & -free
-            seen |= bit
-            j = owner.get(bit)
-            if j is None or augment(j):
-                owner[bit] = i
-                return True
-            free = cands[i] & ~seen
-        return False
-
+    owner = {}
     for i in range(len(cands)):
-        seen = 0
-        if not augment(i):
+        if not _augment(cands, owner, i, [0]):
             return None
     return [bit.bit_length() - 1 for bit in sorted(owner, key=owner.get)]
 
@@ -163,13 +165,22 @@ class BergeSearch:
     allowed hyperedges (a bitmask), e.g. on each coloring's color classes.
 
     Target vertices are placed in descending degree order, host vertices
-    tried ascending.  A graph edge is placed with its later endpoint; its
-    candidates are `pair_mask & allowed`.  A placement is pruned when an
-    edge has no candidate or the placed edges fail a matching (Hall) test.
-    A target edge that is not a vertex pair is a ValueError.
+    tried ascending.  The host is held as incidence bitmasks:
+    `vertex_edges[v]` has bit e for each hyperedge e containing v, and
+    `edge_vertices[e]` has bit v for each vertex of e (bit 0 is never a
+    vertex).  A position's host vertices are the unused ones that share an
+    allowed hyperedge with the image of every earlier neighbour.  A graph
+    edge is placed with its later endpoint; its candidates are the allowed
+    hyperedges containing both images.  The placed edges keep a matching
+    into their candidates, extended by one augmenting path per new edge; a
+    placement is pruned when that fails (no matching covers them, Hall).
+    `nodes` (placements tried, root included) and `hall_tests`
+    (augmenting-path searches) add up over `run` calls.  A target edge
+    that is not a vertex pair is a ValueError.
     """
 
-    __slots__ = ("hg", "g", "order", "incident", "pair_mask")
+    __slots__ = ("hg", "g", "order", "incident", "vertex_edges",
+                 "edge_vertices", "nodes", "hall_tests")
 
     def __init__(self, hg, g):
         deg = [0] * (g.n + 1)
@@ -186,56 +197,86 @@ class BergeSearch:
         for ei, (u, v) in enumerate(g.edges):
             first, later = sorted((pos[u], pos[v]))
             self.incident[later].append((ei, first))
-        # pair_mask[a][b]: the hyperedges containing both a and b
-        self.pair_mask = [[0] * (hg.n + 1) for _ in range(hg.n + 1)]
-        for (a, b), idx in hg.pair_edges().items():
-            self.pair_mask[a][b] = self.pair_mask[b][a] = _mask(idx)
+        self.vertex_edges = [0] * (hg.n + 1)
+        self.edge_vertices = [_mask(e) for e in hg.edges]
+        for idx, e in enumerate(hg.edges):
+            for v in e:
+                self.vertex_edges[v] |= 1 << idx
+        self.nodes = self.hall_tests = 0
 
     def run(self, allowed):
         """(vertex_map, edge_map) dicts of the first copy, in search order,
         that uses only hyperedges in the `allowed` bitmask; else None."""
-        g, n, incident, pair_mask = (self.g, self.hg.n, self.incident,
-                                     self.pair_mask)
+        g, n, incident = self.g, self.hg.n, self.incident
+        vertex_edges, edge_vertices = self.vertex_edges, self.edge_vertices
         if g.n > n or g.num_edges > allowed.bit_count():
             return None
         if g.num_edges == 0:
             # vacuous edge map; any injective vertex placement works
             return {v: v for v in range(1, g.n + 1)}, {}
         image = [0] * g.n
-        used = [False] * (n + 1)
-        cand = [0] * g.num_edges  # 0 while the edge is unplaced
-        last = []  # the matching of the last Hall test passed
+        free = (1 << (n + 1)) - 2  # the unused host vertices
+        nbrs = [-1] * (n + 1)  # filled on demand: see `assign`
+        cand = [0] * g.num_edges  # set when the edge is placed
+        nodes = hall_tests = 0
 
-        def assign(i):
-            nonlocal last
+        def assign(i, owner, taken):
+            """Place position i onward, given a matching `owner` of the
+            placed edges that takes the hyperedge bits `taken`."""
+            nonlocal free, nodes, hall_tests
+            nodes += 1
             if i == g.n:
                 return True
             edges = incident[i]
-            for hv in range(1, n + 1):
-                if used[hv]:
-                    continue
-                row = pair_mask[hv]
+            hosts = free
+            for _, p in edges:
+                a = image[p]
+                if nbrs[a] < 0:
+                    # the vertices of the allowed hyperedges at a (a itself
+                    # is used, so never a candidate)
+                    mask, es = 0, vertex_edges[a] & allowed
+                    while es:
+                        low = es & -es
+                        mask |= edge_vertices[low.bit_length() - 1]
+                        es ^= low
+                    nbrs[a] = mask
+                hosts &= nbrs[a]
+            while hosts:
+                low = hosts & -hosts
+                hosts ^= low
+                hv = low.bit_length() - 1
+                matched, took = owner, taken
+                if edges:
+                    here = vertex_edges[hv] & allowed
+                    matched = owner.copy()
                 for ei, p in edges:
-                    cand[ei] = row[image[p]] & allowed
-                    if not cand[ei]:
-                        break
+                    cand[ei] = here & vertex_edges[image[p]]
+                    bit = cand[ei] & ~took
+                    if bit:
+                        bit &= -bit
+                        matched[bit] = ei
+                    else:
+                        hall_tests += 1
+                        bit = _augment(cand, matched, ei, [0])
+                        if not bit:
+                            break  # no matching covers the placed edges
+                    took |= bit
                 else:
-                    match = _kuhn([c for c in cand if c]) if edges else last
-                    if match is not None:
-                        last = match
-                        image[i], used[hv] = hv, True
-                        if assign(i + 1):
-                            return True
-                        used[hv] = False
-                for ei, _ in edges:
-                    cand[ei] = 0
+                    image[i] = hv
+                    free ^= low
+                    if assign(i + 1, matched, took):
+                        return True
+                    free |= low
             return False
 
-        if not assign(0):
+        found = assign(0, {}, 0)
+        self.nodes += nodes
+        self.hall_tests += hall_tests
+        if not found:
             return None
-        # only edge-free positions follow the last Hall test passed, so it
-        # saw every edge placed, in index order: its matching is the edge map
-        return dict(zip(self.order, image)), dict(enumerate(last))
+        # the same Kuhn matching, over every edge's candidates in index
+        # order, that a from-scratch Hall test of the full copy finds
+        return dict(zip(self.order, image)), dict(enumerate(_kuhn(cand)))
 
     def certificate(self, allowed):
         """The certificate of `run(allowed)`, or None.  This is the one

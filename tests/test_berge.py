@@ -12,10 +12,10 @@ from coverramsey import (BergeCertificate, EdgeColoring, Hypergraph,
                          path_graph, verify_certificate)
 from coverramsey.berge import (COLOR_FAIL, CONTAINMENT_FAIL,
                                NOT_INJECTIVE_EDGES, NOT_INJECTIVE_VERTICES,
-                               BergeSearch, parse_target)
+                               BergeSearch, _mask, parse_target)
 
 from _oracles import (fano, naive_contains_berge, random_coloring,
-                      random_hypergraph)
+                      random_covering_hypergraph, random_hypergraph)
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -249,6 +249,41 @@ class TestBergeSearch:
         assert digest.hexdigest() == ("bb7de9ae90a937b7510f40cf93f506ba"
                                       "1ff9a88d46065efee56f7329e8e6a6be")
 
+    def test_large_host_certificate_hash_pinned(self):
+        # SHA-256 of every (vertex_map, edge_map) on design hosts under a
+        # fair and a lopsided coloring, computed with the search that kept
+        # an n x n table of pair masks and ran each Hall test from scratch
+        rng = random.Random(2019)
+        digest = hashlib.sha256()
+        searches = not_found = 0
+        for n, k in [(21, 3), (25, 5), (27, 3)]:
+            hg = design_to_hypergraph(construct_resolvable_bibd(n, k))
+            for p in (0.5, 0.2):
+                coloring = EdgeColoring(
+                    tuple(int(rng.random() < p) for _ in hg.edges), 2)
+                for g in (K4, K5, cycle_graph(5), cycle_graph(6)):
+                    for color in (0, 1):
+                        cert = find_berge(hg, g, coloring, color)
+                        searches += 1
+                        not_found += cert is None
+                        digest.update(repr(None if cert is None else (
+                            cert.vertex_map, cert.edge_map)).encode())
+        assert (searches, not_found) == (48, 9)
+        assert digest.hexdigest() == ("2cbf1588f88171162eb29dce70063015"
+                                      "3620b55cb775c2af8ecd57147c1180ea")
+
+    def test_work_counters_pinned(self):
+        # the from-scratch search placed 39957 vertices (root included)
+        # and ran _kuhn 154787 times on the first mask; 7 nodes on the next
+        hg = design_to_hypergraph(construct_resolvable_bibd(49, 7))
+        coloring = random_coloring(random.Random(0), hg)
+        search = BergeSearch(hg, cycle_graph(6))
+        assert search.certificate(_mask(coloring.indices_of(0))) is not None
+        assert search.nodes == 39957
+        assert 0 < search.hall_tests < 154787
+        assert search.certificate(_mask(coloring.indices_of(1))) is not None
+        assert search.nodes == 39957 + 7
+
     def test_certificate_rejects_an_edge_outside_allowed(self, monkeypatch):
         # a copy that verifies as a Berge triangle but uses line 1, which
         # the allowed mask leaves out, must fail the check
@@ -270,6 +305,73 @@ class TestBergeSearch:
             if found is not None:
                 vmap, emap = found
                 assert matching_for_assignment(hg, K3, vmap, allowed) == emap
+
+
+
+# K3 plus an isolated vertex, which the search places last
+K3_PLUS_VERTEX = Hypergraph(4, [(1, 2), (1, 3), (2, 3)], {2})
+EDGELESS = [Hypergraph(t, [], {2}) for t in (0, 1, 2)]
+
+
+def check_search(hg, g, mask):
+    """The search finds a copy within `mask` iff the naive enumeration
+    does, and a copy it finds verifies against the color class."""
+    coloring = EdgeColoring(tuple(mask >> i & 1
+                                  for i in range(hg.num_edges)), 2)
+    cert = BergeSearch(hg, g).certificate(mask)
+    assert (cert is not None) == naive_contains_berge(hg, g, coloring, 1), (
+        hg.edges, g, mask)
+    if cert is not None:
+        assert verify_certificate(hg, g, cert, coloring, 1)
+    return cert
+
+
+class TestBergeSearchEdgeCases:
+    def test_isolated_target_vertex_after_edged_positions(self):
+        assert BergeSearch(fano(), K3_PLUS_VERTEX).order[-1] == 4
+        rng = random.Random(61)
+        found = 0
+        for _ in range(40):
+            hg = random_hypergraph(rng, n_max=6, m_max=9)
+            mask = rng.getrandbits(hg.num_edges)
+            found += check_search(hg, K3_PLUS_VERTEX, mask) is not None
+        assert 0 < found < 40
+
+    def test_empty_allowed_set(self):
+        rng = random.Random(62)
+        for hg in [fano()] + [random_hypergraph(rng) for _ in range(10)]:
+            for g in [P3, K3, K3_PLUS_VERTEX] + EDGELESS:
+                cert = check_search(hg, g, 0)
+                assert (cert is not None) == (g.num_edges == 0
+                                              and g.n <= hg.n)
+
+    def test_non_covering_host_with_isolated_vertex(self):
+        hg = Hypergraph(6, [(1, 2, 3), (2, 3, 4), (1, 4, 5), (3, 5)])
+        assert not hg.is_covering()
+        for g in [P3, P4, K3, C4, K3_PLUS_VERTEX] + EDGELESS:
+            for mask in range(2 ** hg.num_edges):
+                cert = check_search(hg, g, mask)
+                if cert is not None and g.num_edges:
+                    assert 6 not in cert.vertex_dict().values()
+
+    def test_mixed_host_with_pair_edges(self):
+        rng = random.Random(63)
+        mixed = 0
+        for _ in range(12):
+            hg = random_covering_hypergraph(rng, rng.randint(4, 6),
+                                            mixed=True)
+            mixed += hg.uniformity == {2, 3}
+            for g in (P3, K3, C4, K4, K3_PLUS_VERTEX):
+                check_search(hg, g, rng.getrandbits(hg.num_edges))
+                check_search(hg, g, (1 << hg.num_edges) - 1)
+        assert mixed
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_tiny_hosts(self, n):
+        hg = Hypergraph(n, [])
+        for g in [Hypergraph(2, [(1, 2)], {2})] + EDGELESS:
+            cert = check_search(hg, g, 0)
+            assert (cert is not None) == (g.n <= n)
 
 
 class TestContainsMonoBerge:
