@@ -294,7 +294,7 @@ class BergeSearch:
 
 def find_berge(hg, g, coloring=None, color=None):
     """Search for a Berge-G certificate in the host, optionally restricted
-    to hyperedges of one color (ValueError if it is outside the palette).
+    to hyperedges of one color (ValueError unless it is 0 or 1).
 
     Builds a `BergeSearch` and runs it once, on the edge set or the color
     class.  Returns a verified certificate or None when no copy exists.
@@ -302,9 +302,8 @@ def find_berge(hg, g, coloring=None, color=None):
     allowed = (1 << hg.num_edges) - 1
     if coloring is not None and color is not None:
         check_coloring(hg, coloring)
-        if not 0 <= color < coloring.palette_size:
-            raise ValueError(f"color {color} outside palette "
-                             f"0..{coloring.palette_size - 1}")
+        if color not in (0, 1):
+            raise ValueError(f"color {color} outside palette 0..1")
         allowed = _mask(coloring.indices_of(color))
     return BergeSearch(hg, g).certificate(allowed)
 
@@ -312,8 +311,6 @@ def find_berge(hg, g, coloring=None, color=None):
 def contains_mono_berge(hg, coloring, g1, g2):
     """First monochromatic Berge target in a 2-colored host: a blue (color
     0) Berge-G1 if one exists, else a red (color 1) Berge-G2, else None."""
-    if coloring.palette_size != 2:
-        raise ValueError("contains_mono_berge needs a 2-color palette")
     check_coloring(hg, coloring)
     first = BergeSearch(hg, g1)
     second = first if g2 == g1 else BergeSearch(hg, g2)

@@ -19,9 +19,9 @@ from math import comb, e, inf, sqrt
 # 2.7182818284590453 as an exact fraction; e = 2.71828182845904523536...
 E_UPPER = Fraction(27182818284590453, 10 ** 16)
 
-# Classical 2-color Ramsey numbers used to instantiate the cubic bound.
-# Values are the long-established exact ones (see the dynamic survey of
-# small Ramsey numbers by Radziszowski).
+# Classical 2-color Ramsey numbers, a reference table that no computation
+# reads.  Values are the long-established exact ones (see the dynamic
+# survey of small Ramsey numbers by Radziszowski).
 KNOWN_RAMSEY = {
     (3, 3): 6,
     (3, 4): 9,

@@ -205,13 +205,18 @@ def cmd_find_berge(args):
 def cmd_unavoidable(args):
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.jobs == 1 and args.shard_bits is not None:
+        raise ValueError("--shard-bits needs --jobs > 1")
+    if args.jobs > 1 and args.shard is not None:
+        raise ValueError("--shard runs one shard and takes no --jobs > 1")
     inputs = {}
     hg = parse_hypergraph(_read(args.host, inputs))
     g1_text, g2_text = _read(args.g1, inputs), _read(args.g2, inputs)
     g1, g2 = parse_target(g1_text), parse_target(g2_text)
-    if args.jobs > 1 and args.shard is None:
-        result = unavoidable_sharded(hg, g1, g2, args.shard_bits,
-                                     limit=args.limit, jobs=args.jobs)
+    if args.jobs > 1:
+        bits = 2 if args.shard_bits is None else args.shard_bits
+        result = unavoidable_sharded(hg, g1, g2, bits, limit=args.limit,
+                                     jobs=args.jobs)
     else:
         result = unavoidable(hg, g1, g2, shard=args.shard, limit=args.limit)
     record = {
@@ -375,6 +380,17 @@ def _verify_lower_bound_record(record):
     except VerificationFailure as exc:
         return False, str(exc)
     problem = _mismatch(record, dataclasses.asdict(cert))
+    if not problem and ("resamples" in record
+                        or record["manifest"]["subcommand"] == "mt-lll"):
+        # an mt-lll run is re-run: its coloring and resample count must
+        # be the ones the recorded seed and resample limit give
+        args = _recorded_args(record, "mt-lll")
+        run = moser_tardos_coloring(hg, record["t"],
+                                    seed=record["manifest"]["seed"],
+                                    max_resamples=args.max_resamples)
+        problem = _mismatch(record, {
+            "coloring_text": run.coloring and format_coloring(run.coloring),
+            "resamples": run.resamples})
     return not problem, problem or cert.statement
 
 
@@ -465,11 +481,11 @@ def cmd_verify(args):
             "scatter-sample": _verify_scatter_record,
             "product-reduction": _verify_product_record,
         }
-        if kind not in handlers:
-            raise ValueError(f"unknown record type {kind!r}")
         try:
+            if kind not in handlers:
+                raise ValueError(f"unknown record type {kind!r}")
             ok, message = handlers[kind](record)
-        except (KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed {kind} record: {exc!r}") from exc
     else:
         head = stripped.split("\n", 1)[0].split()
@@ -535,8 +551,9 @@ def build_parser():
     p.add_argument("g1")
     p.add_argument("g2")
     p.add_argument("--shard", help="bit-string prefix fixing leading edges")
-    p.add_argument("--shard-bits", type=int, default=2,
-                   help="prefix length when splitting with --jobs")
+    p.add_argument("--shard-bits", type=int,
+                   help="prefix length when splitting with --jobs "
+                        "(default 2)")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--limit", type=int, default=DEFAULT_COLORING_LIMIT,
                    help="max colorings per (sharded) search")

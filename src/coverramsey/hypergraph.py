@@ -133,20 +133,16 @@ class Hypergraph:
 
 @dataclass(frozen=True)
 class EdgeColoring:
-    """Assignment of a color id to each hyperedge index, in canonical edge
-    order.  Color ids are 0-based; blue = 0 and red = 1 by convention."""
+    """A 2-coloring: the color of each hyperedge index, in canonical edge
+    order, blue = 0 and red = 1."""
 
     colors: tuple
-    palette_size: int = 2
 
     def __post_init__(self):
         object.__setattr__(self, "colors", tuple(int(c) for c in self.colors))
-        if self.palette_size < 1:
-            raise ValueError("palette_size must be >= 1")
         for c in self.colors:
-            if not 0 <= c < self.palette_size:
-                raise ValueError(
-                    f"color {c} outside palette 0..{self.palette_size - 1}")
+            if c not in (0, 1):
+                raise ValueError(f"color {c} outside palette 0..1")
 
     def __len__(self):
         return len(self.colors)
@@ -199,7 +195,7 @@ def minimal_covering_subhypergraph(hg):
 # canonical order.  Berge target files use the same layout with 2-vertex
 # edges (see `berge.parse_target`).
 #
-# Coloring sidecar: one non-comment line of m digit characters ('0'..'9'),
+# Coloring sidecar: one non-comment line of m characters, each '0' or '1',
 # giving the color of each edge in canonical edge order.
 
 
@@ -258,8 +254,6 @@ def parse_hypergraph(text, uniformity=None):
 
 
 def format_coloring(coloring):
-    if any(c > 9 for c in coloring.colors):
-        raise ValueError("sidecar format only supports color ids 0..9")
     return "".join(str(c) for c in coloring.colors) + "\n"
 
 
@@ -274,4 +268,4 @@ def parse_coloring(text, num_edges):
     if len(digits) != num_edges:
         raise ValueError(f"coloring length {len(digits)} != edge count "
                          f"{num_edges}")
-    return EdgeColoring(tuple(int(ch) for ch in digits), 2)
+    return EdgeColoring(tuple(int(ch) for ch in digits))

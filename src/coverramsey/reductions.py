@@ -108,8 +108,6 @@ def trace_coloring(hg, coloring, sample):
     nothing.  Scatteredness makes the pair -> hyperedge map injective.
     """
     check_coloring(hg, coloring)
-    if coloring.palette_size != 2:
-        raise ValueError("trace expects a 2-colored host")
     if not hg.is_covering():
         raise ValueError("host must be covering")
     sset = set(sample.subset)
@@ -119,19 +117,14 @@ def trace_coloring(hg, coloring, sample):
                          f"1..{hg.n}")
     if any(len(sset.intersection(e)) > 2 for e in hg.edges):
         raise ValueError("sample is not scattered in this host")
+    # any edge containing both endpoints meets the scattered subset in
+    # exactly this pair, so h(uv), the first containing edge, is admissible
     pair_edges = hg.pair_edges()
-    pair_color = {}
-    provenance = {}
-    for pair in combinations(sample.subset, 2):
-        # any edge containing both endpoints meets the scattered subset in
-        # exactly this pair, so the first containing edge is admissible
-        cand = pair_edges.get(pair, ())
-        assert cand, f"pair {pair} of a covering host has no hyperedge"
-        choice = cand[0]
-        pair_color[pair] = coloring.colors[choice]
-        provenance[pair] = choice
+    provenance = {pair: pair_edges[pair][0]
+                  for pair in combinations(sample.subset, 2)}
     images = list(provenance.values())
     assert len(set(images)) == len(images), "trace provenance not injective"
+    pair_color = {pair: coloring.colors[i] for pair, i in provenance.items()}
     return TraceColoring(sample.subset, pair_color, provenance)
 
 
@@ -157,8 +150,6 @@ def multicolor_product_reduction(hg, coloring):
     hyperedge containing uv; the product palette has 2*C(k,2) color ids
     where k is the largest permitted edge size."""
     check_coloring(hg, coloring)
-    if coloring.palette_size != 2:
-        raise ValueError("product reduction expects a 2-colored host")
     if not hg.is_covering():
         raise ValueError("host must be covering")
     k = hg.max_edge_size
@@ -179,9 +170,12 @@ def multicolor_product_reduction(hg, coloring):
                             pair_color, provenance)
 
 
-def _lift(hg, g, embedding, pair_to_edge, coloring=None, color=None):
+def _lift(hg, g, embedding, coloring=None, color=None):
+    """The Berge-G copy putting each embedded target edge on h(uv), the
+    first hyperedge holding its host pair; checked, in `color` if given."""
     vmap = dict(embedding)
-    emap = {ei: pair_to_edge[tuple(sorted((vmap[u], vmap[v])))]
+    pair_edges = hg.pair_edges()
+    emap = {ei: pair_edges[tuple(sorted((vmap[u], vmap[v])))][0]
             for ei, (u, v) in enumerate(g.edges)}
     cert = BergeCertificate.from_dicts(vmap, emap)
     result = verify_certificate(hg, g, cert, coloring, color)
@@ -211,15 +205,14 @@ def lift_mono_subgraph(reduction, hg, g, embedding, coloring=None):
     host_color = None
     if coloring is not None and mono is not None:
         host_color, _ = reduction.color_parts(mono)
-    pair_to_edge = {p: ie for p, (ie, _) in reduction.provenance.items()}
-    return _lift(hg, g, embedding, pair_to_edge, coloring, host_color)
+    return _lift(hg, g, embedding, coloring, host_color)
 
 
 def lift_trace_subgraph(trace, hg, g, embedding, coloring=None):
     """Lift a monochromatic embedded copy found in a trace coloring to a
-    Berge certificate via the trace provenance."""
+    Berge certificate on the hyperedges its pairs took their colors from."""
     mono = _mono_color(trace.pair_color, g, embedding)
-    return _lift(hg, g, embedding, trace.provenance, coloring, mono)
+    return _lift(hg, g, embedding, coloring, mono)
 
 
 def find_mono_subgraph(pair_color, n, g):

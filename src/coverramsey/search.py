@@ -11,10 +11,10 @@ import random
 from contextlib import ExitStack
 from dataclasses import dataclass
 
-from .berge import (BergeCertificate, BergeSearch, complete_graph,
-                    contains_mono_berge, verify_certificate)
+from .berge import BergeSearch, complete_graph, contains_mono_berge
 from .hypergraph import (EdgeColoring, check_coloring, complete_host,
                          format_coloring, format_hypergraph)
+from .reductions import _lift
 
 UNAVOIDABLE = "UNAVOIDABLE"
 AVOIDABLE = "AVOIDABLE"
@@ -106,7 +106,7 @@ def unavoidable(hg, g1, g2, shard=None, limit=DEFAULT_COLORING_LIMIT):
     if not (holds(0, blue) or holds(1, red)):
         red = visit(m - 1, blue, red)
         if red is not None:
-            witness = EdgeColoring(tuple(red >> i & 1 for i in range(m)), 2)
+            witness = EdgeColoring(tuple(red >> i & 1 for i in range(m)))
             return UnavoidabilityResult(AVOIDABLE, witness, (red >> p) + 1,
                                         shard)
     return UnavoidabilityResult(UNAVOIDABLE, None, 2 ** (m - p), shard)
@@ -287,8 +287,7 @@ def moser_tardos_coloring(hg, t, seed=0,
     while True:
         event = next(_bad_events(block, colors, t), None)
         if event is None:
-            return MTRun(EdgeColoring(tuple(colors), 2), resamples,
-                         tuple(trace))
+            return MTRun(EdgeColoring(tuple(colors)), resamples, tuple(trace))
         if resamples >= max_resamples:
             return MTRun(None, resamples, tuple(trace))
         trace.append(event)
@@ -327,6 +326,7 @@ def lower_bound_certificate(hg, coloring, t):
 
     Linear hosts are checked by an exhaustive bad-event scan (equivalent
     on such hosts); general covering hosts by the Berge search itself.
+    K_t is built only when it fits in the host: with t > n no copy exists.
     Raises VerificationFailure carrying the offending certificate if a
     monochromatic copy exists, and ValueError for t < 2.
     """
@@ -334,28 +334,23 @@ def lower_bound_certificate(hg, coloring, t):
     if not hg.is_covering():
         raise ValueError("host must be covering")
     check_coloring(hg, coloring)
-    if coloring.palette_size != 2:
-        raise ValueError("certificate needs a 2-colored host")
-    target = complete_graph(t)
     codegrees = [len(v) for v in hg.pair_edges().values()]
-    if codegrees and min(codegrees) == max(codegrees) == 1:
-        method = "bad-event-scan"
-        block = _pair_block_map(hg)
-        event = next(_bad_events(block, coloring.colors, t), None)
+    linear = codegrees and min(codegrees) == max(codegrees) == 1
+    method = "bad-event-scan" if linear else "mono-berge-search"
+    if linear:
+        event = next(_bad_events(_pair_block_map(hg), coloring.colors, t),
+                     None)
         if event is not None:
             # the event is the copy: K_t's vertex i on t_set[i - 1], and
-            # each edge on the one block of its pair
-            vmap = dict(enumerate(event.t_set, 1))
-            cert = BergeCertificate.from_dicts(
-                vmap, {ei: block[vmap[u]][vmap[v]]
-                       for ei, (u, v) in enumerate(target.edges)})
-            assert verify_certificate(hg, target, cert, coloring,
-                                      event.color)
+            # each edge on the one block of its pair, which is h(uv)
+            cert = _lift(hg, complete_graph(t),
+                         dict(enumerate(event.t_set, 1)), coloring,
+                         event.color)
             raise VerificationFailure(
                 f"monochromatic Berge-K_{t} on {event.t_set} "
                 f"in color {event.color}", event.color, cert)
-    else:
-        method = "mono-berge-search"
+    elif t <= hg.n:
+        target = complete_graph(t)
         hit = contains_mono_berge(hg, coloring, target, target)
         if hit is not None:
             color, cert = hit

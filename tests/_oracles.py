@@ -63,7 +63,7 @@ def binary_unavoidable(hg, g1, g2, shard=None):
     p = len(prefix)
     for x in range(2 ** (m - p)):
         colors = prefix + tuple(x >> (i - p) & 1 for i in range(p, m))
-        coloring = EdgeColoring(colors, 2)
+        coloring = EdgeColoring(colors)
         if not (naive_contains_berge(hg, g1, coloring, 0)
                 or naive_contains_berge(hg, g2, coloring, 1)):
             return "AVOIDABLE", colors, x + 1
@@ -113,9 +113,8 @@ def random_covering_hypergraph(rng, n, k=3, extra=4, mixed=False):
     return Hypergraph(n, edges)
 
 
-def random_coloring(rng, hg, palette=2):
-    return EdgeColoring(tuple(rng.randrange(palette)
-                              for _ in range(hg.num_edges)), palette)
+def random_coloring(rng, hg):
+    return EdgeColoring(tuple(rng.randrange(2) for _ in range(hg.num_edges)))
 
 
 def naive_bad_events(hg, coloring, t):

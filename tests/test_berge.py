@@ -54,13 +54,13 @@ class TestVerifyCertificate:
         assert result.reason == CONTAINMENT_FAIL
 
     def test_color_mismatch(self):
-        coloring = EdgeColoring((0, 1, 0, 0, 0, 0, 0), 2)
+        coloring = EdgeColoring((0, 1, 0, 0, 0, 0, 0))
         result = verify_certificate(fano(), K3, fano_k3_cert(),
                                     coloring, 0)
         assert not result and result.reason == COLOR_FAIL
 
     def test_color_match(self):
-        coloring = EdgeColoring((0,) * 7, 2)
+        coloring = EdgeColoring((0,) * 7)
         assert verify_certificate(fano(), K3, fano_k3_cert(), coloring, 0)
 
 
@@ -111,14 +111,14 @@ class TestFindBerge:
 
     def test_mono_triangle_in_all_blue_k6(self):
         hg = complete_host(6)
-        coloring = EdgeColoring((0,) * 15, 2)
+        coloring = EdgeColoring((0,) * 15)
         cert = find_berge(hg, K3, coloring, 0)
         assert cert is not None
         assert verify_certificate(hg, K3, cert, coloring, 0)
 
     def test_color_class_too_small(self):
         hg = complete_host(4)
-        coloring = EdgeColoring((0, 1, 1, 1, 1, 1), 2)
+        coloring = EdgeColoring((0, 1, 1, 1, 1, 1))
         assert find_berge(hg, K3, coloring, 0) is None
 
     def test_empty_target_embeds(self):
@@ -185,7 +185,7 @@ class TestFindBerge:
 
     @pytest.mark.parametrize("color", [2, 7, -1])
     def test_color_outside_palette_rejected(self, color):
-        coloring = EdgeColoring((0,) * 7, 2)
+        coloring = EdgeColoring((0,) * 7)
         with pytest.raises(ValueError, match="outside palette"):
             find_berge(fano(), K3, coloring, color)
 
@@ -199,7 +199,7 @@ def grid_hosts():
         yield f"D({n},{k})", hg, random_coloring(rng, hg)
         for p in (0.15, 0.3):
             yield f"D({n},{k}) p={p}", hg, EdgeColoring(
-                tuple(int(rng.random() < p) for _ in hg.edges), 2)
+                tuple(int(rng.random() < p) for _ in hg.edges))
     for i in range(40):
         hg = random_hypergraph(rng, n_max=7, m_max=12)
         yield f"random {i}", hg, random_coloring(rng, hg)
@@ -221,7 +221,7 @@ class TestBergeSearch:
                 for _ in range(15):
                     mask = rng.getrandbits(hg.num_edges)
                     coloring = EdgeColoring(tuple(
-                        (mask >> i) & 1 for i in range(hg.num_edges)), 2)
+                        (mask >> i) & 1 for i in range(hg.num_edges)))
                     got = search.run(mask)
                     cert = find_berge(hg, g, coloring, 1)
                     want = None if cert is None else (cert.vertex_dict(),
@@ -260,7 +260,7 @@ class TestBergeSearch:
             hg = design_to_hypergraph(construct_resolvable_bibd(n, k))
             for p in (0.5, 0.2):
                 coloring = EdgeColoring(
-                    tuple(int(rng.random() < p) for _ in hg.edges), 2)
+                    tuple(int(rng.random() < p) for _ in hg.edges))
                 for g in (K4, K5, cycle_graph(5), cycle_graph(6)):
                     for color in (0, 1):
                         cert = find_berge(hg, g, coloring, color)
@@ -317,7 +317,7 @@ def check_search(hg, g, mask):
     """The search finds a copy within `mask` iff the naive enumeration
     does, and a copy it finds verifies against the color class."""
     coloring = EdgeColoring(tuple(mask >> i & 1
-                                  for i in range(hg.num_edges)), 2)
+                                  for i in range(hg.num_edges)))
     cert = BergeSearch(hg, g).certificate(mask)
     assert (cert is not None) == naive_contains_berge(hg, g, coloring, 1), (
         hg.edges, g, mask)
@@ -389,26 +389,27 @@ class TestContainsMonoBerge:
         hg = complete_host(5)
         cycle = {(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)}
         colors = tuple(0 if e in cycle else 1 for e in hg.edges)
-        coloring = EdgeColoring(colors, 2)
+        coloring = EdgeColoring(colors)
         assert contains_mono_berge(hg, coloring, K3, K3) is None
 
     def test_all_red_fano(self):
-        coloring = EdgeColoring((1,) * 7, 2)
+        coloring = EdgeColoring((1,) * 7)
         hit = contains_mono_berge(fano(), coloring, K3, K3)
         assert hit is not None and hit[0] == 1
         assert verify_certificate(fano(), K3, hit[1], coloring, 1)
 
     def test_prefers_blue_on_ties(self):
         hg = complete_host(6)
-        coloring = EdgeColoring(tuple(i % 2 for i in range(15)), 2)
+        coloring = EdgeColoring(tuple(i % 2 for i in range(15)))
         # both colors contain triangles here; blue must win
         hit = contains_mono_berge(hg, coloring, K3, K3)
         assert hit[0] == 0
 
     def test_requires_two_color_palette(self):
-        hg = complete_host(3)
-        with pytest.raises(ValueError):
-            contains_mono_berge(hg, EdgeColoring((0, 1, 2), 3), K3, K3)
+        # a third color cannot reach the search: the coloring rejects it
+        with pytest.raises(ValueError,
+                           match=r"color 2 outside palette 0\.\.1"):
+            EdgeColoring((0, 1, 2))
 
 
 class TestTargetGraph:

@@ -223,6 +223,33 @@ class TestUnavoidable:
             == ["error: shard bits must be non-negative, got -1"]
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--shard-bits", "3"], "--shard-bits needs --jobs > 1"),
+        (["--shard-bits", "2", "--jobs", "1"],
+         "--shard-bits needs --jobs > 1"),
+        (["--shard", "01", "--jobs", "2"],
+         "--shard runs one shard and takes no --jobs > 1")])
+    def test_ignored_flag_exit_1(self, files, capsys, argv, message):
+        out = files["dir"] / "unavoid.json"
+        assert run("unavoidable", files["k5"], files["k3"], files["k3"],
+                   *argv, "-o", out) == 1
+        assert error_lines(capsys) == [f"error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,shard", [
+        ([], None), (["--jobs", "2"], "merged[2]"),
+        (["--jobs", "2", "--shard-bits", "3"], "merged[3]")])
+    def test_shard_bits_default_to_2_under_jobs(self, files, capsys, argv,
+                                               shard):
+        # unset by default, so that --shard-bits alone can be rejected
+        assert build_parser().parse_args(
+            ["unavoidable", "h", "g1", "g2"]).shard_bits is None
+        assert run("unavoidable", files["k6"], files["k3"], files["k3"],
+                   *argv, "--format", "structured") == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["shard"] == shard
+        assert record["verdict"] == "UNAVOIDABLE"
+
 
 class TestMtLllAndCertify:
     def test_full_chain(self, files, capsys):
@@ -344,6 +371,76 @@ class TestMtLllAndCertify:
     def test_default_max_resamples_is_the_library_default(self):
         args = build_parser().parse_args(["mt-lll", "h", "4"])
         assert args.max_resamples == DEFAULT_MAX_RESAMPLES
+
+    @pytest.mark.parametrize("field,value", [
+        ("resamples", -5), ("resamples", 4), ("resamples", 3.0),
+        ("coloring_text", None)])
+    def test_forged_mt_run_field_exit_3(self, files, capsys, field, value):
+        d9 = files["dir"] / "d9.hg"
+        d9.write_text(format_hypergraph(
+            design_to_hypergraph(construct_resolvable_bibd(9, 3))))
+        out = files["dir"] / "lb.json"
+        assert run("mt-lll", d9, "4", "--max-resamples", "40",
+                   "-o", out) == 0
+        record = json.loads(out.read_text())
+        assert record["resamples"] == 3
+        assert run("verify", out) == 0
+        if value is None:
+            # the swapped coloring avoids monochromatic Berge-K_4 too, so
+            # only re-running the resampler from the seed exposes it
+            value = record[field].translate(str.maketrans("01", "10"))
+        record[field] = value
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 3
+        assert capsys.readouterr().out.startswith(f"{field} mismatch: ")
+
+    def test_resample_limit_is_read_from_argv(self, files, capsys):
+        # seed 0 needs 3 resamples on D(9,3) for t = 4; under a recorded
+        # limit of 1 the re-run finds no coloring
+        d9 = files["dir"] / "d9.hg"
+        d9.write_text(format_hypergraph(
+            design_to_hypergraph(construct_resolvable_bibd(9, 3))))
+        out = files["dir"] / "lb.json"
+        assert run("mt-lll", d9, "4", "-o", out) == 0
+        record = json.loads(out.read_text())
+        record["manifest"]["argv"] += ["--max-resamples", "1"]
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 3
+        assert capsys.readouterr().out.startswith(
+            "coloring_text mismatch: recomputed None")
+
+    def test_mt_record_without_resamples_is_malformed(self, files, capsys):
+        d9 = files["dir"] / "d9.hg"
+        d9.write_text(format_hypergraph(
+            design_to_hypergraph(construct_resolvable_bibd(9, 3))))
+        out = files["dir"] / "lb.json"
+        assert run("mt-lll", d9, "4", "-o", out) == 0
+        record = json.loads(out.read_text())
+        del record["resamples"]
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 1
+        assert error_lines(capsys) == [
+            "error: malformed lower-bound-certificate record: "
+            "KeyError('resamples')"]
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["mt-lll", "certify-lower"])
+    def test_t_beyond_the_host_is_vacuous(self, files, capsys, command):
+        # K_20000 has no copy on 9 vertices; it used to be built anyway
+        d9 = files["dir"] / "d9.hg"
+        d9.write_text(format_hypergraph(
+            design_to_hypergraph(construct_resolvable_bibd(9, 3))))
+        col = files["dir"] / "d9.col"
+        col.write_text("0" * 12 + "\n")
+        out = files["dir"] / "lb.json"
+        argv = [d9, "20000"] if command == "mt-lll" else [d9, col, "20000"]
+        assert run(command, *argv, "-o", out) == 0
+        record = json.loads(out.read_text())
+        assert record["statement"] == "R̂³(BK₂₀₀₀₀,BK₂₀₀₀₀) ≥ 10"
+        assert run("verify", out) == 0
 
 
 class TestScatter:
@@ -596,3 +693,23 @@ class TestVerifyDispatch:
         bad = files["dir"] / "torn.json"
         bad.write_text('{"record": "berge-certificate"}\n')
         assert run("verify", bad) == 1
+
+    @pytest.mark.parametrize("argv,field,value,kind", [
+        (["find-berge", "{fano}", "{k3}"], "host_text", 1.5,
+         "berge-certificate"),
+        (["unavoidable", "{k5}", "{k3}", "{k3}"], "g1_text", 1.5,
+         "unavoidability-result"),
+        (["find-berge", "{fano}", "{k3}"], "record", [[1, 2]], "[[1, 2]]")])
+    def test_mistyped_field_is_malformed(self, files, capsys, argv, field,
+                                         value, kind):
+        out = files["dir"] / "rec.json"
+        assert run(*(a.format(**files) for a in argv), "-o", out) == 0
+        record = json.loads(out.read_text())
+        record[field] = value
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 1
+        err = error_lines(capsys)
+        assert len(err) == 1
+        assert err[0].startswith(f"error: malformed {kind} record: ")
+        assert capsys.readouterr().out == ""

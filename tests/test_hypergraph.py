@@ -184,7 +184,7 @@ class TestTextFormat:
 
 class TestColoringSidecar:
     def test_round_trip(self):
-        col = EdgeColoring((0, 1, 1, 0, 1, 0, 0), 2)
+        col = EdgeColoring((0, 1, 1, 0, 1, 0, 0))
         assert parse_coloring(format_coloring(col), 7) == col
 
     def test_comment_lines_allowed(self):
@@ -203,9 +203,11 @@ class TestColoringSidecar:
             parse_coloring("012\n", 3)
 
     def test_sidecar_rejects_wide_palettes(self):
-        with pytest.raises(ValueError):
-            format_coloring(EdgeColoring((11,), 12))
+        # colorings are 2-colorings, so no wider color reaches a sidecar
+        with pytest.raises(ValueError,
+                           match=r"color 11 outside palette 0\.\.1"):
+            EdgeColoring((11,))
 
     def test_indices_of(self):
-        col = EdgeColoring((0, 1, 0, 1), 2)
+        col = EdgeColoring((0, 1, 0, 1))
         assert col.indices_of(1) == (1, 3)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -6,13 +8,16 @@ from math import comb
 import pytest
 
 from coverramsey import (EdgeColoring, Hypergraph, ScatterSample,
-                         complete_graph, complete_host,
-                         construct_resolvable_bibd, design_to_hypergraph,
-                         find_mono_subgraph, lift_mono_subgraph,
-                         lift_trace_subgraph, multicolor_product_reduction,
-                         path_graph, sample_scattered_subset,
-                         scatter_failure_bound, scatter_rejection_trials,
-                         trace_coloring, verify_certificate)
+                         VerificationFailure, complete_graph, complete_host,
+                         construct_resolvable_bibd, cycle_graph,
+                         design_to_hypergraph, find_mono_subgraph,
+                         lift_mono_subgraph, lift_trace_subgraph,
+                         lower_bound_certificate,
+                         multicolor_product_reduction, path_graph,
+                         sample_scattered_subset, scatter_failure_bound,
+                         scatter_rejection_trials, trace_coloring,
+                         verify_certificate)
+from coverramsey.cli import _product_fields
 
 from _oracles import fano, random_coloring, random_covering_hypergraph
 
@@ -120,7 +125,7 @@ class TestTraceColoring:
 
     def test_fano_all_blue_trace_and_lift(self):
         hg = fano()
-        coloring = EdgeColoring((0,) * 7, 2)
+        coloring = EdgeColoring((0,) * 7)
         sample = ScatterSample((1, 2, 4), 1, 0)
         trace = trace_coloring(hg, coloring, sample)
         assert set(trace.pair_color.values()) == {0}
@@ -153,19 +158,19 @@ class TestTraceColoring:
     def test_non_covering_host_rejected(self):
         hg = Hypergraph(4, [(1, 2, 3)])
         with pytest.raises(ValueError, match="host must be covering"):
-            trace_coloring(hg, EdgeColoring((0,), 2),
+            trace_coloring(hg, EdgeColoring((0,)),
                            ScatterSample((1, 4), 1, 0))
 
     @pytest.mark.parametrize("subset", [(1, 1, 2), (0, 1), (2, 1)])
     def test_bad_sample_vertices_rejected(self, subset):
         with pytest.raises(ValueError, match="ascending distinct vertices"):
-            trace_coloring(fano(), EdgeColoring((0,) * 7, 2),
+            trace_coloring(fano(), EdgeColoring((0,) * 7),
                            ScatterSample(subset, 1, 0))
 
     def test_unscattered_sample_rejected(self):
         forged = ScatterSample((1, 2, 3), 1, 0)
         with pytest.raises(ValueError):
-            trace_coloring(fano(), EdgeColoring((0,) * 7, 2), forged)
+            trace_coloring(fano(), EdgeColoring((0,) * 7), forged)
 
 
 class TestProductReduction:
@@ -192,7 +197,7 @@ class TestProductReduction:
 
     def test_design_host_palette(self):
         hg = design_to_hypergraph(construct_resolvable_bibd(9, 3))
-        coloring = EdgeColoring(tuple(i % 2 for i in range(12)), 2)
+        coloring = EdgeColoring(tuple(i % 2 for i in range(12)))
         red = multicolor_product_reduction(hg, coloring)
         assert red.n == 9 and red.palette_size == 6
 
@@ -215,7 +220,7 @@ class TestProductReduction:
 
     def test_color_parts_round_trip(self):
         hg = fano()
-        coloring = EdgeColoring((0, 1) * 3 + (0,), 2)
+        coloring = EdgeColoring((0, 1) * 3 + (0,))
         red = multicolor_product_reduction(hg, coloring)
         for pair, (idx, label) in red.provenance.items():
             host_color, lab = red.color_parts(red.pair_color[pair])
@@ -224,13 +229,13 @@ class TestProductReduction:
     def test_requires_covering(self):
         with pytest.raises(ValueError):
             multicolor_product_reduction(Hypergraph(4, [(1, 2, 3)]),
-                                         EdgeColoring((0,), 2))
+                                         EdgeColoring((0,)))
 
 
 class TestLifting:
     def test_identity_host_mono_triangle_lifts_to_itself(self):
         hg = complete_host(6)
-        coloring = EdgeColoring((0,) * 15, 2)
+        coloring = EdgeColoring((0,) * 15)
         red = multicolor_product_reduction(hg, coloring)
         cert = lift_mono_subgraph(red, hg, K3, {1: 1, 2: 2, 3: 3})
         emap = cert.edge_dict()
@@ -239,7 +244,7 @@ class TestLifting:
 
     def test_fano_mono_path_lifts_on_distinct_lines(self):
         hg = fano()
-        coloring = EdgeColoring((0,) * 7, 2)
+        coloring = EdgeColoring((0,) * 7)
         red = multicolor_product_reduction(hg, coloring)
         hit = find_mono_subgraph(red.pair_color, red.n, P3)
         assert hit is not None
@@ -251,7 +256,7 @@ class TestLifting:
 
     def test_non_mono_embedding_rejected(self):
         hg = complete_host(6)
-        coloring = EdgeColoring(tuple(i % 2 for i in range(15)), 2)
+        coloring = EdgeColoring(tuple(i % 2 for i in range(15)))
         red = multicolor_product_reduction(hg, coloring)
         mixed = None
         for tri in combinations(range(1, 7), 3):
@@ -301,3 +306,69 @@ class TestLifting:
             assert verify_certificate(hg, P3, cert, coloring, color)
             lifted += 1
         assert lifted >= 10
+
+
+class TestLiftDigest:
+    """Everything read off h(uv), the first hyperedge holding a pair:
+    product fields, trace colors and provenance, certificates lifted on
+    both routes, and the failure certificates of `lower_bound_certificate`
+    (a monochromatic Berge-K_t is a bad event on a linear host).  The
+    digest was taken when each route still built its own lift, so it pins
+    that one shared lift changes no output."""
+
+    DESIGNS = ((9, 3), (15, 3), (16, 4), (21, 3), (25, 5), (27, 3))
+    TARGETS = (complete_graph(3), path_graph(3), cycle_graph(4),
+               complete_graph(4))
+    COUNTS = (31, 62, 62, 337, 112)
+    DIGEST = ("14a39c3981b204498728365f631935c0"
+              "b6dffd2ddeba891af753a2cf37870754")
+
+    def test_outputs_digest_pinned(self):
+        rng = random.Random(1901)
+        hosts = [fano()] + [design_to_hypergraph(construct_resolvable_bibd(
+            n, k)) for n, k in self.DESIGNS]
+        hosts += [random_covering_hypergraph(rng, rng.randint(6, 10), k=3,
+                                             extra=4, mixed=True)
+                  for _ in range(24)]
+        digest = hashlib.sha256()
+
+        def put(*items):
+            digest.update(repr(items).encode() + b"\n")
+
+        traces = lifts = failures = 0
+        for i, hg in enumerate(hosts):
+            for p in (0.5, 0.2):
+                coloring = EdgeColoring(tuple(int(rng.random() < p)
+                                              for _ in hg.edges))
+                put(json.dumps(_product_fields(hg, coloring),
+                               sort_keys=True))
+                routes = [(multicolor_product_reduction(hg, coloring),
+                           lift_mono_subgraph)]
+                sample = sample_scattered_subset(
+                    hg, 4 if hg.n < 15 else 6, seed=i, max_attempts=200)
+                if sample is not None:
+                    trace = trace_coloring(hg, coloring, sample)
+                    put(trace.subset, sorted(trace.pair_color.items()),
+                        sorted(trace.provenance.items()))
+                    routes.append((trace, lift_trace_subgraph))
+                    traces += 1
+                for reduction, lift in routes:
+                    for g in self.TARGETS:
+                        hit = find_mono_subgraph(reduction.pair_color,
+                                                 hg.n, g)
+                        if hit is not None:
+                            cert = lift(reduction, hg, g, hit[1], coloring)
+                            put(hit[0], cert.vertex_map, cert.edge_map)
+                            lifts += 1
+                for t in (3, 4):
+                    try:
+                        cert = lower_bound_certificate(hg, coloring, t)
+                        put(cert.method, cert.statement)
+                    except VerificationFailure as exc:
+                        put(str(exc), exc.color,
+                            exc.certificate.vertex_map,
+                            exc.certificate.edge_map)
+                        failures += 1
+        assert (len(hosts), 2 * len(hosts), traces, lifts,
+                failures) == self.COUNTS
+        assert digest.hexdigest() == self.DIGEST

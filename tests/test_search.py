@@ -292,7 +292,7 @@ class TestClassicalRamsey:
 class TestScanBadEvents:
     def test_d9_all_blue_t3_counts_non_collinear_triples(self):
         hg = d9_host()
-        coloring = EdgeColoring((0,) * 12, 2)
+        coloring = EdgeColoring((0,) * 12)
         events = scan_bad_events(hg, coloring, 3)
         # oracle: triples of AG(2, 3) are scattered iff not a line
         lines = {e for e in hg.edges}
@@ -306,22 +306,22 @@ class TestScanBadEvents:
 
     def test_t2_every_pair_is_bad(self):
         hg = d9_host()
-        coloring = EdgeColoring(tuple(i % 2 for i in range(12)), 2)
+        coloring = EdgeColoring(tuple(i % 2 for i in range(12)))
         events = scan_bad_events(hg, coloring, 2)
         assert len(events) == 36  # every pair's single block is mono
 
     def test_t_larger_than_n_empty(self):
         hg = d9_host()
-        assert scan_bad_events(hg, EdgeColoring((0,) * 12, 2), 10) == []
+        assert scan_bad_events(hg, EdgeColoring((0,) * 12), 10) == []
 
     def test_rejects_non_linear_host(self):
         hg = Hypergraph(7, list(fano().edges) + [(1, 2, 4)])
         with pytest.raises(ValueError):
-            scan_bad_events(hg, EdgeColoring((0,) * 8, 2), 3)
+            scan_bad_events(hg, EdgeColoring((0,) * 8), 3)
 
     def test_rejects_negative_t(self):
         with pytest.raises(ValueError):
-            scan_bad_events(d9_host(), EdgeColoring((0,) * 12, 2), -1)
+            scan_bad_events(d9_host(), EdgeColoring((0,) * 12), -1)
 
     @pytest.mark.parametrize("n,k", [(9, 3), (15, 3), (16, 4), (21, 3),
                                      (25, 5)])
@@ -329,9 +329,8 @@ class TestScanBadEvents:
         hg = design_to_hypergraph(construct_resolvable_bibd(n, k))
         rng = random.Random(1000 * n + k)
         m = hg.num_edges
-        colorings = [EdgeColoring(tuple(rng.randrange(2) for _ in range(m)),
-                                  2),
-                     EdgeColoring((rng.randrange(2),) * m, 2)]
+        colorings = [EdgeColoring(tuple(rng.randrange(2) for _ in range(m))),
+                     EdgeColoring((rng.randrange(2),) * m)]
         for coloring in colorings:
             vanished = False
             for t in range(n + 2):
@@ -349,7 +348,7 @@ class TestScanBadEvents:
         k4 = complete_graph(4)
         for _ in range(10):
             coloring = EdgeColoring(tuple(rng.randrange(2)
-                                          for _ in range(12)), 2)
+                                          for _ in range(12)))
             events = scan_bad_events(hg, coloring, 4)
             hit = contains_mono_berge(hg, coloring, k4, k4)
             assert (len(events) > 0) == (hit is not None)
@@ -370,7 +369,7 @@ class TestMoserTardos:
         good = 0
         for mask in range(2 ** 12):
             colors = tuple((mask >> i) & 1 for i in range(12))
-            if not scan_bad_events(hg, EdgeColoring(colors, 2), 4):
+            if not scan_bad_events(hg, EdgeColoring(colors), 4):
                 good += 1
                 break
         assert good > 0
@@ -430,13 +429,13 @@ class TestLowerBoundCertificate:
         hg = complete_host(5)
         cycle = {(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)}
         coloring = EdgeColoring(tuple(0 if e in cycle else 1
-                                      for e in hg.edges), 2)
+                                      for e in hg.edges))
         cert = lower_bound_certificate(hg, coloring, 3)
         assert cert.statement == "R̂²(BK₃,BK₃) ≥ 6"
 
     def test_monochromatic_host_fails_verification(self):
         hg = fano()
-        coloring = EdgeColoring((1,) * 7, 2)
+        coloring = EdgeColoring((1,) * 7)
         with pytest.raises(VerificationFailure) as exc_info:
             lower_bound_certificate(hg, coloring, 3)
         exc = exc_info.value
@@ -446,14 +445,14 @@ class TestLowerBoundCertificate:
     def test_non_linear_host_uses_berge_search(self):
         hg = Hypergraph(7, list(fano().edges) + [(1, 2, 4)])
         colors = (0, 1, 0, 1, 0, 1, 0, 1)
-        cert = lower_bound_certificate(hg, EdgeColoring(colors, 2), 4)
+        cert = lower_bound_certificate(hg, EdgeColoring(colors), 4)
         assert cert.method == "mono-berge-search"
         assert cert.statement == "R̂³(BK₄,BK₄) ≥ 8"
 
     def test_requires_covering(self):
         with pytest.raises(ValueError):
             lower_bound_certificate(Hypergraph(4, [(1, 2, 3)]),
-                                    EdgeColoring((0,), 2), 3)
+                                    EdgeColoring((0,)), 3)
 
     @pytest.mark.parametrize("t", [0, 1])
     @pytest.mark.parametrize("linear", [True, False])
@@ -461,15 +460,39 @@ class TestLowerBoundCertificate:
         # Berge-K_0 and Berge-K_1 have no edges: every coloring holds one
         hg = (d9_host() if linear
               else Hypergraph(7, list(fano().edges) + [(1, 2, 4)]))
-        coloring = EdgeColoring((0, 1) * (hg.num_edges // 2), 2)
+        coloring = EdgeColoring((0, 1) * (hg.num_edges // 2))
         with pytest.raises(ValueError, match=f"t must be at least 2, got {t}"):
             lower_bound_certificate(hg, coloring, t)
         with pytest.raises(ValueError, match=f"t must be at least 2, got {t}"):
             moser_tardos_coloring(hg, t, seed=0)
 
+    @pytest.mark.parametrize("t", [10, 20000])
+    @pytest.mark.parametrize("linear", [True, False])
+    def test_t_beyond_the_host_is_vacuous(self, monkeypatch, t, linear):
+        # no Berge-K_t fits on fewer than t vertices, so a certificate is
+        # due at once; building K_t first would take memory quadratic in t
+        hg = (d9_host() if linear
+              else Hypergraph(7, list(fano().edges) + [(1, 2, 4)]))
+        build = coverramsey.search.complete_graph
+
+        def fitting_only(size):
+            if size > hg.n:
+                raise AssertionError(f"K_{size} built for {hg.n} vertices")
+            return build(size)
+
+        monkeypatch.setattr(coverramsey.search, "complete_graph",
+                            fitting_only)
+        coloring = EdgeColoring((0,) * hg.num_edges)
+        cert = lower_bound_certificate(hg, coloring, t)
+        assert (cert.t, cert.bound) == (t, hg.n + 1)
+        assert cert.method == ("bad-event-scan" if linear
+                               else "mono-berge-search")
+        with pytest.raises(VerificationFailure):
+            lower_bound_certificate(hg, coloring, 3)
+
     def test_failing_scan_certificate_is_the_event(self, monkeypatch):
         hg = design_to_hypergraph(construct_resolvable_bibd(27, 3))
-        coloring = EdgeColoring((1,) * hg.num_edges, 2)
+        coloring = EdgeColoring((1,) * hg.num_edges)
         event = scan_bad_events(hg, coloring, 4)[0]
 
         def no_search(*args):
