@@ -104,6 +104,19 @@ def verify_certificate(hg, g, cert, coloring=None, color=None):
     return VerifyResult(True)
 
 
+def lift_embedding(hg, g, embedding, coloring=None, color=None):
+    """The Berge-G copy putting each embedded target edge on h(uv), the
+    first hyperedge holding its host pair; checked, in `color` if given."""
+    vmap = dict(embedding)
+    pair_edges = hg.pair_edges()
+    emap = {ei: pair_edges[tuple(sorted((vmap[u], vmap[v])))][0]
+            for ei, (u, v) in enumerate(g.edges)}
+    cert = BergeCertificate.from_dicts(vmap, emap)
+    result = verify_certificate(hg, g, cert, coloring, color)
+    assert result, f"lifted certificate failed verification: {result.reason}"
+    return cert
+
+
 def _augment(cands, owner, i, seen):
     """Kuhn's augmenting path from graph edge i, over the matching `owner`
     (hyperedge bit -> graph edge) of the candidate bitmasks `cands`: bits

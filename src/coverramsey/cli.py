@@ -205,15 +205,15 @@ def cmd_find_berge(args):
 def cmd_unavoidable(args):
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    if args.jobs == 1 and args.shard_bits is not None:
-        raise ValueError("--shard-bits needs --jobs > 1")
-    if args.jobs > 1 and args.shard is not None:
-        raise ValueError("--shard runs one shard and takes no --jobs > 1")
+    sharded = args.jobs > 1 or args.shard_bits is not None
+    if sharded and args.shard is not None:
+        raise ValueError("--shard runs one shard and takes neither "
+                         "--jobs > 1 nor --shard-bits")
     inputs = {}
     hg = parse_hypergraph(_read(args.host, inputs))
     g1_text, g2_text = _read(args.g1, inputs), _read(args.g2, inputs)
     g1, g2 = parse_target(g1_text), parse_target(g2_text)
-    if args.jobs > 1:
+    if sharded:
         bits = 2 if args.shard_bits is None else args.shard_bits
         result = unavoidable_sharded(hg, g1, g2, bits, limit=args.limit,
                                      jobs=args.jobs)
@@ -385,8 +385,7 @@ def _verify_lower_bound_record(record):
         # an mt-lll run is re-run: its coloring and resample count must
         # be the ones the recorded seed and resample limit give
         args = _recorded_args(record, "mt-lll")
-        run = moser_tardos_coloring(hg, record["t"],
-                                    seed=record["manifest"]["seed"],
+        run = moser_tardos_coloring(hg, record["t"], seed=args.seed,
                                     max_resamples=args.max_resamples)
         problem = _mismatch(record, {
             "coloring_text": run.coloring and format_coloring(run.coloring),
@@ -413,7 +412,8 @@ def _verify_unavoidability_record(record):
 
 def _recorded_args(record, command):
     """The arguments of the run that wrote `record`, parsed from its
-    manifest argv by the parser that run used."""
+    manifest argv by the parser that run used; the manifest seed must be
+    the argv's --seed."""
     argv = record["manifest"]["argv"]
     args = None
     if type(argv) is list and all(type(a) is str for a in argv):
@@ -427,15 +427,20 @@ def _recorded_args(record, command):
     if args is None or args.command != command:
         raise ValueError(f"malformed {record['record']} record: argv "
                          f"{reprlib.repr(argv)} is not a {command} command")
+    seed = record["manifest"]["seed"]
+    if type(seed) is not int or seed != args.seed:
+        raise ValueError(f"malformed {record['record']} record: seed "
+                         f"{reprlib.repr(seed)} is not the argv's "
+                         f"--seed {args.seed}")
     return args
 
 
 def _verify_scatter_record(record):
     hg = parse_hypergraph(record["host_text"])
     s = record["s"]
-    fields = _scatter_fields(hg, s, record["manifest"]["seed"],
-                             record.get("trials", 0),
-                             _recorded_args(record, "scatter").max_attempts)
+    args = _recorded_args(record, "scatter")
+    fields = _scatter_fields(hg, s, args.seed, record.get("trials", 0),
+                             args.max_attempts)
     if {"rejected", "empirical_rate"} & record.keys() - fields.keys():
         raise ValueError("malformed scatter-sample record: rejection "
                          "counts without a positive 'trials'")
@@ -485,7 +490,7 @@ def cmd_verify(args):
             if kind not in handlers:
                 raise ValueError(f"unknown record type {kind!r}")
             ok, message = handlers[kind](record)
-        except (AttributeError, KeyError, TypeError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed {kind} record: {exc!r}") from exc
     else:
         head = stripped.split("\n", 1)[0].split()
@@ -552,8 +557,8 @@ def build_parser():
     p.add_argument("g2")
     p.add_argument("--shard", help="bit-string prefix fixing leading edges")
     p.add_argument("--shard-bits", type=int,
-                   help="prefix length when splitting with --jobs "
-                        "(default 2)")
+                   help="split into the prefix shards of this length "
+                        "and merge them (default 2 under --jobs > 1)")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--limit", type=int, default=DEFAULT_COLORING_LIMIT,
                    help="max colorings per (sharded) search")

@@ -199,8 +199,14 @@ def minimal_covering_subhypergraph(hg):
 # giving the color of each edge in canonical edge order.
 
 
+def _check_text(text):
+    if not isinstance(text, str):
+        raise TypeError(f"expected text, got {type(text).__name__}")
+
+
 def _content_rows(text):
     """The lines of `text` that are neither blank nor '#' comments."""
+    _check_text(text)
     return [ln for ln in text.splitlines()
             if ln.strip() and not ln.lstrip().startswith("#")]
 
@@ -244,6 +250,7 @@ def format_hypergraph(hg):
 
 
 def parse_hypergraph(text, uniformity=None):
+    _check_text(text)
     if not text.endswith("\n"):
         raise ValueError("hypergraph text must end with a newline")
     n, edges = _read_edge_list(text, "hypergraph")

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations, islice
 from math import comb
 
-from .berge import BergeCertificate, find_berge, verify_certificate
+from .berge import find_berge, lift_embedding
 from .hypergraph import Hypergraph, check_coloring
 
 DEFAULT_MAX_ATTEMPTS = 1000
@@ -170,19 +170,6 @@ def multicolor_product_reduction(hg, coloring):
                             pair_color, provenance)
 
 
-def _lift(hg, g, embedding, coloring=None, color=None):
-    """The Berge-G copy putting each embedded target edge on h(uv), the
-    first hyperedge holding its host pair; checked, in `color` if given."""
-    vmap = dict(embedding)
-    pair_edges = hg.pair_edges()
-    emap = {ei: pair_edges[tuple(sorted((vmap[u], vmap[v])))][0]
-            for ei, (u, v) in enumerate(g.edges)}
-    cert = BergeCertificate.from_dicts(vmap, emap)
-    result = verify_certificate(hg, g, cert, coloring, color)
-    assert result, f"lifted certificate failed verification: {result.reason}"
-    return cert
-
-
 def _mono_color(pair_color, g, embedding):
     """The one color of the embedded target's pairs; None if edgeless."""
     vmap = dict(embedding)
@@ -205,14 +192,14 @@ def lift_mono_subgraph(reduction, hg, g, embedding, coloring=None):
     host_color = None
     if coloring is not None and mono is not None:
         host_color, _ = reduction.color_parts(mono)
-    return _lift(hg, g, embedding, coloring, host_color)
+    return lift_embedding(hg, g, embedding, coloring, host_color)
 
 
 def lift_trace_subgraph(trace, hg, g, embedding, coloring=None):
     """Lift a monochromatic embedded copy found in a trace coloring to a
     Berge certificate on the hyperedges its pairs took their colors from."""
     mono = _mono_color(trace.pair_color, g, embedding)
-    return _lift(hg, g, embedding, coloring, mono)
+    return lift_embedding(hg, g, embedding, coloring, mono)
 
 
 def find_mono_subgraph(pair_color, n, g):

@@ -11,10 +11,10 @@ import random
 from contextlib import ExitStack
 from dataclasses import dataclass
 
-from .berge import BergeSearch, complete_graph, contains_mono_berge
+from .berge import (BergeSearch, complete_graph, contains_mono_berge,
+                    lift_embedding)
 from .hypergraph import (EdgeColoring, check_coloring, complete_host,
                          format_coloring, format_hypergraph)
-from .reductions import _lift
 
 UNAVOIDABLE = "UNAVOIDABLE"
 AVOIDABLE = "AVOIDABLE"
@@ -343,9 +343,9 @@ def lower_bound_certificate(hg, coloring, t):
         if event is not None:
             # the event is the copy: K_t's vertex i on t_set[i - 1], and
             # each edge on the one block of its pair, which is h(uv)
-            cert = _lift(hg, complete_graph(t),
-                         dict(enumerate(event.t_set, 1)), coloring,
-                         event.color)
+            cert = lift_embedding(hg, complete_graph(t),
+                                  dict(enumerate(event.t_set, 1)), coloring,
+                                  event.color)
             raise VerificationFailure(
                 f"monochromatic Berge-K_{t} on {event.t_set} "
                 f"in color {event.color}", event.color, cert)

@@ -223,25 +223,27 @@ class TestUnavoidable:
             == ["error: shard bits must be non-negative, got -1"]
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("argv,message", [
-        (["--shard-bits", "3"], "--shard-bits needs --jobs > 1"),
-        (["--shard-bits", "2", "--jobs", "1"],
-         "--shard-bits needs --jobs > 1"),
-        (["--shard", "01", "--jobs", "2"],
-         "--shard runs one shard and takes no --jobs > 1")])
-    def test_ignored_flag_exit_1(self, files, capsys, argv, message):
+    @pytest.mark.parametrize("argv", [
+        ["--shard", "01", "--jobs", "2"],
+        ["--shard", "01", "--shard-bits", "2"]])
+    def test_shard_with_sharding_flag_exit_1(self, files, capsys, argv):
         out = files["dir"] / "unavoid.json"
         assert run("unavoidable", files["k5"], files["k3"], files["k3"],
                    *argv, "-o", out) == 1
-        assert error_lines(capsys) == [f"error: {message}"]
+        assert error_lines(capsys) == [
+            "error: --shard runs one shard and takes neither --jobs > 1 "
+            "nor --shard-bits"]
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,shard", [
         ([], None), (["--jobs", "2"], "merged[2]"),
-        (["--jobs", "2", "--shard-bits", "3"], "merged[3]")])
+        (["--jobs", "2", "--shard-bits", "3"], "merged[3]"),
+        (["--shard-bits", "3"], "merged[3]"),
+        (["--shard-bits", "2", "--jobs", "1"], "merged[2]")])
     def test_shard_bits_default_to_2_under_jobs(self, files, capsys, argv,
                                                shard):
-        # unset by default, so that --shard-bits alone can be rejected
+        # unset by default, so that a plain run stays unsharded; given
+        # with one job, the shards run in-process
         assert build_parser().parse_args(
             ["unavoidable", "h", "g1", "g2"]).shard_bits is None
         assert run("unavoidable", files["k6"], files["k3"], files["k3"],
@@ -410,6 +412,28 @@ class TestMtLllAndCertify:
         assert run("verify", out) == 3
         assert capsys.readouterr().out.startswith(
             "coloring_text mismatch: recomputed None")
+
+    @pytest.mark.parametrize("command", ["mt-lll", "scatter"])
+    @pytest.mark.parametrize("seed", [None, True, 1.5, "0", 1])
+    def test_seed_not_the_argv_seed_is_malformed(self, files, capsys,
+                                                 command, seed):
+        # a null seed would seed the re-run from OS entropy
+        d9 = files["dir"] / "d9.hg"
+        d9.write_text(format_hypergraph(
+            design_to_hypergraph(construct_resolvable_bibd(9, 3))))
+        out = files["dir"] / "rec.json"
+        argv = [d9, "4"] if command == "mt-lll" else [d9, "3"]
+        assert run(command, *argv, "-o", out) == 0
+        assert run("verify", out) == 0
+        record = json.loads(out.read_text())
+        record["manifest"]["seed"] = seed
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 1
+        assert error_lines(capsys) == [
+            f"error: malformed {record['record']} record: seed "
+            f"{seed!r} is not the argv's --seed 0"]
+        assert capsys.readouterr().out == ""
 
     def test_mt_record_without_resamples_is_malformed(self, files, capsys):
         d9 = files["dir"] / "d9.hg"
@@ -699,6 +723,10 @@ class TestVerifyDispatch:
          "berge-certificate"),
         (["unavoidable", "{k5}", "{k3}", "{k3}"], "g1_text", 1.5,
          "unavoidability-result"),
+        (["find-berge", "{fano}", "{k3}"], "target_text", [],
+         "berge-certificate"),
+        (["reduce-product", "{fano}", "{fano_blue}"], "coloring_text", 0,
+         "product-reduction"),
         (["find-berge", "{fano}", "{k3}"], "record", [[1, 2]], "[[1, 2]]")])
     def test_mistyped_field_is_malformed(self, files, capsys, argv, field,
                                          value, kind):
