@@ -187,12 +187,16 @@ class BergeSearch:
     hyperedges containing both images.  The placed edges keep a matching
     into their candidates, extended by one augmenting path per new edge; a
     placement is pruned when that fails (no matching covers them, Hall).
+    A target vertex of degree d is placed only on host vertices in at
+    least d allowed hyperedges, since its d edges need distinct images
+    that all contain it: the vertices this skips lie in no copy at that
+    position, so the first copy found, and its edge map, are unchanged.
     `nodes` (placements tried, root included) and `hall_tests`
     (augmenting-path searches) add up over `run` calls.  A target edge
     that is not a vertex pair is a ValueError.
     """
 
-    __slots__ = ("hg", "g", "order", "incident", "vertex_edges",
+    __slots__ = ("hg", "g", "order", "degree", "incident", "vertex_edges",
                  "edge_vertices", "nodes", "hall_tests")
 
     def __init__(self, hg, g):
@@ -205,6 +209,7 @@ class BergeSearch:
         order = sorted(range(1, g.n + 1), key=lambda v: (-deg[v], v))
         pos = {v: i for i, v in enumerate(order)}
         self.hg, self.g, self.order = hg, g, order
+        self.degree = [deg[v] for v in order]  # per position
         # incident[i]: (edge, earlier position) for edges placed at i
         self.incident = [[] for _ in range(g.n)]
         for ei, (u, v) in enumerate(g.edges):
@@ -227,6 +232,7 @@ class BergeSearch:
         if g.num_edges == 0:
             # vacuous edge map; any injective vertex placement works
             return {v: v for v in range(1, g.n + 1)}, {}
+        degree = self.degree
         image = [0] * g.n
         free = (1 << (n + 1)) - 2  # the unused host vertices
         nbrs = [-1] * (n + 1)  # filled on demand: see `assign`
@@ -254,13 +260,16 @@ class BergeSearch:
                         es ^= low
                     nbrs[a] = mask
                 hosts &= nbrs[a]
+            need = degree[i]
             while hosts:
                 low = hosts & -hosts
                 hosts ^= low
                 hv = low.bit_length() - 1
+                here = vertex_edges[hv] & allowed
+                if here.bit_count() < need:
+                    continue  # too few allowed hyperedges at hv
                 matched, took = owner, taken
                 if edges:
-                    here = vertex_edges[hv] & allowed
                     matched = owner.copy()
                 for ei, p in edges:
                     cand[ei] = here & vertex_edges[image[p]]

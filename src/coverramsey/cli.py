@@ -30,8 +30,8 @@ from .bounds import (asymptotic_lower, lll_inequality_holds, lll_threshold_n,
                      thm1_upper_bound)
 from .designs import (construct_resolvable_bibd, format_design, parse_design,
                       verify_resolvable_bibd)
-from .hypergraph import (format_coloring, format_hypergraph, parse_coloring,
-                         parse_hypergraph)
+from .hypergraph import (_first_content_row, format_coloring,
+                         format_hypergraph, parse_coloring, parse_hypergraph)
 from .reductions import (DEFAULT_MAX_ATTEMPTS, multicolor_product_reduction,
                          sample_scattered_subset, scatter_failure_bound,
                          scatter_rejection_trials)
@@ -474,9 +474,9 @@ def _verify_product_record(record):
 def cmd_verify(args):
     inputs = {}
     text = _read(args.file, inputs)
-    stripped = "".join(ln for ln in text.splitlines(keepends=True)
-                       if not ln.lstrip().startswith("#"))
-    if stripped.lstrip().startswith("{"):
+    # dispatch on the first line that is neither blank nor a '#' comment
+    first = _first_content_row(text) or ""
+    if first.lstrip().startswith("{"):
         record = json.loads(text)
         kind = record.get("record")
         handlers = {
@@ -493,7 +493,7 @@ def cmd_verify(args):
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed {kind} record: {exc!r}") from exc
     else:
-        head = stripped.split("\n", 1)[0].split()
+        head = first.split()
         if len(head) == 3:
             design = parse_design(text)
             report = verify_resolvable_bibd(design)

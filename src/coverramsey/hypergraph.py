@@ -11,7 +11,8 @@ Berge target, is a Hypergraph with uniformity {2}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, repeat
+from operator import lt
 
 
 class Hypergraph:
@@ -27,22 +28,17 @@ class Hypergraph:
     def __init__(self, n, edges, uniformity=None):
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
-        canon = []
-        seen = set()
-        for e in edges:
-            t = tuple(sorted(set(e)))
-            if len(t) != len(tuple(e)):
-                raise ValueError(f"edge {tuple(e)} has repeated vertices")
-            if len(t) < 2:
-                raise ValueError(f"edge {t} has cardinality < 2")
-            if t[0] < 1 or t[-1] > n:
-                raise ValueError(f"edge {t} out of vertex range 1..{n}")
-            if t in seen:
-                raise ValueError(f"duplicate edge {t}")
-            seen.add(t)
-            canon.append(t)
+        edges = list(map(tuple, edges))
+        canon = _canonical(edges)
+        sizes = set(map(len, canon))
+        vertices = set(chain.from_iterable(canon))
+        if ((canon is not edges
+             and list(map(len, canon)) != list(map(len, edges)))
+                or min(sizes, default=2) < 2
+                or vertices and (min(vertices) < 1 or max(vertices) > n)
+                or len(set(canon)) < len(canon)):
+            _raise_first_bad_edge(n, edges)
         canon.sort()
-        sizes = {len(e) for e in canon}
         if uniformity is None:
             uniformity = sizes if sizes else {2}
         uniformity = frozenset(int(r) for r in uniformity)
@@ -131,6 +127,35 @@ class Hypergraph:
         return min((len(v) for v in pairs.values()), default=0)
 
 
+def _canonical(edges):
+    """Each edge tuple as the ascending tuple of its distinct vertices.
+    Returns `edges` itself when they already are, which is tested a
+    column at a time when all the edges have one size."""
+    if len(set(map(len, edges))) == 1:
+        cols = list(zip(*edges))
+        if all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:])):
+            return edges
+    return list(map(tuple, map(sorted, map(set, edges))))
+
+
+def _raise_first_bad_edge(n, edges):
+    """Raise ValueError naming the first edge a hypergraph on 1..n cannot
+    hold: repeated vertices, fewer than 2 vertices, a vertex out of range,
+    or a duplicate, checked in that order."""
+    seen = set()
+    for e in edges:
+        t = tuple(sorted(set(e)))
+        if len(t) != len(e):
+            raise ValueError(f"edge {e} has repeated vertices")
+        if len(t) < 2:
+            raise ValueError(f"edge {t} has cardinality < 2")
+        if t[0] < 1 or t[-1] > n:
+            raise ValueError(f"edge {t} out of vertex range 1..{n}")
+        if t in seen:
+            raise ValueError(f"duplicate edge {t}")
+        seen.add(t)
+
+
 @dataclass(frozen=True)
 class EdgeColoring:
     """A 2-coloring: the color of each hyperedge index, in canonical edge
@@ -139,10 +164,10 @@ class EdgeColoring:
     colors: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "colors", tuple(int(c) for c in self.colors))
-        for c in self.colors:
-            if c not in (0, 1):
-                raise ValueError(f"color {c} outside palette 0..1")
+        object.__setattr__(self, "colors", tuple(map(int, self.colors)))
+        if not {0, 1}.issuperset(self.colors):
+            bad = next(c for c in self.colors if c not in (0, 1))
+            raise ValueError(f"color {bad} outside palette 0..1")
 
     def __len__(self):
         return len(self.colors)
@@ -207,8 +232,23 @@ def _check_text(text):
 def _content_rows(text):
     """The lines of `text` that are neither blank nor '#' comments."""
     _check_text(text)
-    return [ln for ln in text.splitlines()
-            if ln.strip() and not ln.lstrip().startswith("#")]
+    rows = list(filter(str.strip, text.splitlines()))
+    if "#" in text:
+        rows = [ln for ln in rows if not ln.lstrip().startswith("#")]
+    return rows
+
+
+def _first_content_row(text):
+    """The first of `_content_rows(text)`, or None; the text is read only
+    up to that row."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        rows = _content_rows(text[start:end])
+        if rows:
+            return rows[0]
+        start = end
+    return None
 
 
 def _ints(row):
@@ -240,12 +280,20 @@ def _read_edge_list(text, what):
     n, m = _header(rows[0], "<n> <m>")
     if len(rows) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(rows) - 1}")
-    return n, [_ints(ln) for ln in rows[1:]]
+    try:
+        return n, list(map(tuple, map(map, repeat(int),
+                                      map(str.split, rows[1:]))))
+    except ValueError:
+        for row in rows[1:]:
+            _ints(row)  # raises for the first row with a non-integer
+        raise
 
 
 def format_hypergraph(hg):
+    row = {k: " ".join(["%s"] * k) for k in hg.uniformity}  # per edge size
     lines = [f"{hg.n} {hg.num_edges}"]
-    lines.extend(" ".join(str(v) for v in e) for e in hg.edges)
+    lines.extend(map(str.__mod__, map(row.__getitem__, map(len, hg.edges)),
+                     hg.edges))
     return "\n".join(lines) + "\n"
 
 
@@ -254,9 +302,10 @@ def parse_hypergraph(text, uniformity=None):
     if not text.endswith("\n"):
         raise ValueError("hypergraph text must end with a newline")
     n, edges = _read_edge_list(text, "hypergraph")
-    for e in edges:
-        if list(e) != sorted(set(e)):
-            raise ValueError(f"edge line {e} is not strictly ascending")
+    if _canonical(edges) != edges:
+        for e in edges:
+            if list(e) != sorted(set(e)):
+                raise ValueError(f"edge line {e} is not strictly ascending")
     return Hypergraph(n, edges, uniformity)
 
 
@@ -275,4 +324,4 @@ def parse_coloring(text, num_edges):
     if len(digits) != num_edges:
         raise ValueError(f"coloring length {len(digits)} != edge count "
                          f"{num_edges}")
-    return EdgeColoring(tuple(int(ch) for ch in digits))
+    return EdgeColoring(tuple(map(int, digits)))

@@ -274,15 +274,58 @@ class TestBergeSearch:
 
     def test_work_counters_pinned(self):
         # the from-scratch search placed 39957 vertices (root included)
-        # and ran _kuhn 154787 times on the first mask; 7 nodes on the next
+        # and ran _kuhn 154787 times on the first mask; pruned by allowed
+        # degree it places 7 and needs no augmenting path; 7 on the next
         hg = design_to_hypergraph(construct_resolvable_bibd(49, 7))
         coloring = random_coloring(random.Random(0), hg)
         search = BergeSearch(hg, cycle_graph(6))
         assert search.certificate(_mask(coloring.indices_of(0))) is not None
-        assert search.nodes == 39957
-        assert 0 < search.hall_tests < 154787
+        assert search.nodes == 7
+        assert search.hall_tests == 0
         assert search.certificate(_mask(coloring.indices_of(1))) is not None
-        assert search.nodes == 39957 + 7
+        assert search.nodes == 7 + 7
+
+    def test_degree_pruning_counters_pinned(self):
+        # a K5 search that finds nothing in a sparse class of D(49,7):
+        # 5630 nodes and 24702 Hall tests before placements were pruned
+        # by allowed degree
+        hg = design_to_hypergraph(construct_resolvable_bibd(49, 7))
+        rng = random.Random(1)
+        red = _mask(i for i in range(hg.num_edges) if rng.random() < 0.3)
+        search = BergeSearch(hg, K5)
+        assert search.run(red) is None
+        assert (search.nodes, search.hall_tests) == (957, 1962)
+
+    def test_run_results_digest_pinned(self):
+        # SHA-256 of `run` on 2400 seeded cases, taken before placements
+        # were pruned by allowed degree: hosts with edge sizes 2..5,
+        # covering or not, targets that may have isolated vertices, and
+        # masks keeping about 10%, 50% or 90% of the hyperedges
+        rng = random.Random(14)
+        digest = hashlib.sha256()
+        found = 0
+        for i in range(800):
+            if i % 4:
+                hg = random_hypergraph(rng, n_max=9, m_max=14, k_max=5)
+            else:
+                hg = random_covering_hypergraph(
+                    rng, rng.randint(5, 8), k=rng.randint(3, 5), mixed=True)
+            t = rng.randint(2, 5)
+            pairs = list(combinations(range(1, t + 1), 2))
+            g = Hypergraph(t, rng.sample(pairs, rng.randint(1, len(pairs))),
+                           {2})
+            search = BergeSearch(hg, g)
+            for p in (0.1, 0.5, 0.9):
+                mask = _mask(e for e in range(hg.num_edges)
+                             if rng.random() < p)
+                result = search.run(mask)
+                found += result is not None
+                digest.update(repr(None if result is None else (
+                    sorted(result[0].items()),
+                    sorted(result[1].items()))).encode())
+        assert found == 1178
+        assert digest.hexdigest() == ("e8b311814e10caed8394cd37c818f0b5"
+                                      "9e80caaed860637105800621148110a3")
 
     def test_certificate_rejects_an_edge_outside_allowed(self, monkeypatch):
         # a copy that verifies as a Berge triangle but uses line 1, which

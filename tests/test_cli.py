@@ -4,7 +4,7 @@ import pytest
 
 from coverramsey import (complete_graph, complete_host,
                          construct_resolvable_bibd, design_to_hypergraph,
-                         format_hypergraph, parse_design)
+                         format_design, format_hypergraph, parse_design)
 from coverramsey.cli import build_parser, main
 from coverramsey.reductions import DEFAULT_MAX_ATTEMPTS
 from coverramsey.search import DEFAULT_COLORING_LIMIT, DEFAULT_MAX_RESAMPLES
@@ -682,6 +682,34 @@ class TestVerifyDispatch:
     def test_hypergraph_file(self, files, capsys):
         assert run("verify", files["fano"]) == 0
         assert "covering=True" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["hypergraph", "design"])
+    def test_leading_blank_and_comment_lines(self, files, capsys, kind):
+        # the file type is read off the first line that is neither blank
+        # nor a '#' comment, the lines every text parser skips
+        text = (format_hypergraph(fano()) if kind == "hypergraph"
+                else format_design(construct_resolvable_bibd(9, 3)))
+        path = files["dir"] / f"padded.{kind}"
+        path.write_text(text)
+        assert run("verify", path) == 0
+        want = capsys.readouterr().out.splitlines()[0]
+        for prefix in ("\n", "# header\n\n", " \n\t\n# a\n   # b\n\n"):
+            path.write_text(prefix + text)
+            assert run("verify", path) == 0
+            assert capsys.readouterr().out.splitlines()[0] == want
+
+    def test_json_record_after_blank_and_comment_lines(self, files, capsys):
+        path = files["dir"] / "rec.json"
+        assert run("find-berge", files["fano"], files["k3"], "-o", path) == 0
+        text = path.read_text()
+        path.write_text("\n \n" + text)
+        capsys.readouterr()
+        assert run("verify", path) == 0
+        assert capsys.readouterr().out.startswith("certificate verifies")
+        # JSON has no comments, so a '#' line before the record is an error
+        path.write_text("# note\n\n" + text)
+        assert run("verify", path) == 1
+        assert len(error_lines(capsys)) == 1
 
     def test_unknown_record_type(self, files):
         bad = files["dir"] / "bad.json"

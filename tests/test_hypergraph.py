@@ -8,6 +8,8 @@ from coverramsey import (EdgeColoring, Hypergraph, complete_host,
                          minimal_covering_subhypergraph, parse_coloring,
                          parse_hypergraph)
 
+from coverramsey.berge import parse_target
+
 from _oracles import fano, random_hypergraph
 
 
@@ -180,6 +182,78 @@ class TestTextFormat:
     def test_bad_header(self):
         with pytest.raises(ValueError):
             parse_hypergraph("3\n1 2\n")
+
+
+PARSER_MESSAGES = [
+    # (parser, text, expected message); for two faults the earlier wins
+    ("host", "3 1\n1 x 3\n", "non-integer entry in line '1 x 3'"),
+    ("host", "3 2\n1 2\n1 2 y\n", "non-integer entry in line '1 2 y'"),
+    ("host", "3 2\n1 2\n", "expected 2 edge lines, found 1"),
+    ("host", "3 2\n1 x\n", "expected 2 edge lines, found 1"),
+    ("host", "3 1\n1 2", "hypergraph text must end with a newline"),
+    ("host", "3\n1 2\n", "header must be '<n> <m>', got '3'"),
+    ("host", "# only a comment\n\n", "empty hypergraph text"),
+    ("host", "-1 0\n", "vertex count must be >= 0, got -1"),
+    ("host", "3 1\n2\n", "edge (2,) has cardinality < 2"),
+    ("host", "3 1\n1 4\n", "edge (1, 4) out of vertex range 1..3"),
+    ("host", "3 2\n0 1\n1 2\n", "edge (0, 1) out of vertex range 1..3"),
+    ("host", "3 2\n1 2\n1 2\n", "duplicate edge (1, 2)"),
+    ("host3", "4 2\n1 2\n1 2 3\n",
+     "edge sizes [2] not in uniformity set [3]"),
+    ("host3", "4 2\n1 2 3\n1 2\n",
+     "edge sizes [2] not in uniformity set [3]"),
+    ("host", "4 3\n1 5\n1 2\n1 2\n", "edge (1, 5) out of vertex range 1..4"),
+    # not ascending, and also a duplicate, out of range or repeating
+    ("host", "3 2\n1 2\n2 1\n", "edge line (2, 1) is not strictly ascending"),
+    ("host", "3 1\n4 1\n", "edge line (4, 1) is not strictly ascending"),
+    ("host", "3 2\n1 2\n1 1\n", "edge line (1, 1) is not strictly ascending"),
+    ("host", "4 3\n1 2\n1 2\n3 2 9\n",
+     "edge line (3, 2, 9) is not strictly ascending"),
+    ("target", "3 1\n1 1\n", "edge (1, 1) has repeated vertices"),
+    ("target", "3 2\n2 1\n1 2", "duplicate edge (1, 2)"),
+    ("target", "3 1\n1 2 3\n", "edge sizes [3] not in uniformity set [2]"),
+    ("coloring", "012\n", "color 2 outside palette 0..1"),
+    ("coloring", "01x\n", "coloring line '01x' has non-digit characters"),
+    ("coloring", "01\n", "coloring length 2 != edge count 3"),
+    ("coloring", "01\n10\n",
+     "coloring sidecar must contain exactly one non-comment line"),
+]
+
+
+@pytest.mark.parametrize("parser,text,message", PARSER_MESSAGES)
+def test_parser_messages(parser, text, message):
+    parse = {"host": parse_hypergraph,
+             "host3": lambda text: parse_hypergraph(text, {3}),
+             "target": parse_target,
+             "coloring": lambda text: parse_coloring(text, 3)}[parser]
+    with pytest.raises(ValueError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("edges,message", [
+    ([(3, 1, 3)], "edge (3, 1, 3) has repeated vertices"),
+    ([(2, 1), [1, 2]], "duplicate edge (1, 2)"),
+    ([(1, 2), (3, 5, 4), (1, 1)], "edge (3, 4, 5) out of vertex range 1..4"),
+    ([(1, 2), {4}], "edge (4,) has cardinality < 2"),
+])
+def test_constructor_names_the_first_bad_edge(edges, message):
+    with pytest.raises(ValueError) as info:
+        Hypergraph(4, edges)
+    assert str(info.value) == message
+
+
+def test_constructor_canonicalizes_like_sorting_each_edge():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        canon = {tuple(sorted(rng.sample(range(1, n + 1),
+                                         rng.randint(2, min(n, 5)))))
+                 for _ in range(rng.randint(0, 10))}
+        edges = [rng.sample(e, len(e)) for e in canon]
+        hg = Hypergraph(n, edges)
+        assert hg.edges == tuple(sorted(canon))
+        assert parse_hypergraph(format_hypergraph(hg)) == hg
 
 
 class TestColoringSidecar:

@@ -3,7 +3,9 @@ import nothing outside the standard library, and `pyproject.toml` keeps
 zero runtime dependencies and takes its version from the package."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -53,3 +55,16 @@ def test_pyproject_has_no_dependencies_and_the_package_version():
     assert meta["tool"]["setuptools"]["dynamic"]["version"] == {
         "attr": "coverramsey.__version__"}
     assert re.fullmatch(r"\d+\.\d+\.\d+", coverramsey.__version__)
+
+
+def test_cli_import_loads_no_process_pool():
+    # a fresh interpreter's `import coverramsey.cli` (the start-up cost of
+    # every run) leaves the pool modules to the sharded runs that use them
+    code = ("import sys, coverramsey.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path},
+                          timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
