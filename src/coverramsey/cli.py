@@ -471,13 +471,29 @@ def _verify_product_record(record):
             problem or "reduction reproduces from host and coloring")
 
 
+def _json_record(text):
+    """The JSON record `text` holds.  JSON has no comments, so a '#' line
+    before the record is named rather than reported as a parse error."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        for number, line in enumerate(text.splitlines(), 1):
+            if line.lstrip().startswith("#"):
+                raise ValueError(
+                    f"line {number} is a '#' comment ({line.strip()!r}); "
+                    f"a JSON record cannot hold comment lines") from None
+            if line.strip():
+                break
+        raise
+
+
 def cmd_verify(args):
     inputs = {}
     text = _read(args.file, inputs)
     # dispatch on the first line that is neither blank nor a '#' comment
     first = _first_content_row(text) or ""
     if first.lstrip().startswith("{"):
-        record = json.loads(text)
+        record = _json_record(text)
         kind = record.get("record")
         handlers = {
             "berge-certificate": _verify_berge_record,

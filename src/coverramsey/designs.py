@@ -31,10 +31,11 @@ arbitrary candidate designs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import isqrt
+from itertools import chain, combinations, repeat
+from math import comb, isqrt
 
-from .hypergraph import Hypergraph, _content_rows, _header, _ints
+from .hypergraph import (Hypergraph, _canonical, _content_rows, _header,
+                         _ints)
 
 PARTITION_FAIL = "PARTITION_FAIL"
 PAIR_COUNT_FAIL = "PAIR_COUNT_FAIL"
@@ -89,7 +90,39 @@ class DesignReport:
 def verify_resolvable_bibd(design):
     """Full audit: every class partitions 1..n into k-blocks, every pair is
     covered exactly once, and the class count is (n - 1)/(k - 1).  Returns
-    a report listing each violation (empty report iff valid)."""
+    a report listing each violation (empty report iff valid).
+
+    A valid design is proved by whole-list checks (`_is_valid`); only an
+    invalid one is walked block by block (`_violations`) to name what is
+    wrong."""
+    if _is_valid(design):
+        return DesignReport(())
+    return DesignReport(tuple(_violations(design)))
+
+
+def _is_valid(design):
+    """Whether the design has no violation: k >= 2, the class count is
+    (n - 1)/(k - 1), every block has k points, each class's sorted points
+    are 1..n, and the pairs of the sorted blocks (`_canonical`, which
+    sorts only when some block is not ascending) number C(n, 2) and are
+    all distinct.  The blocks' points being distinct and in 1..n, those
+    pairs are then every pair of 1..n, each once."""
+    n, k, classes = design.n, design.k, design.classes
+    if k < 2 or (n - 1) % (k - 1) or len(classes) != (n - 1) // (k - 1):
+        return False
+    blocks = design.blocks()
+    points = list(range(1, n + 1))
+    if set(map(len, blocks)) - {k} or any(
+            sorted(chain.from_iterable(c)) != points for c in classes):
+        return False
+    pairs = list(chain.from_iterable(map(combinations, _canonical(blocks),
+                                         repeat(2))))
+    return len(pairs) == comb(n, 2) == len(set(pairs))
+
+
+def _violations(design):
+    """Every violation of the design, class by class and block by block,
+    then pair by pair, then the class count."""
     n, k = design.n, design.k
     out = []
     points = set(range(1, n + 1))
@@ -119,7 +152,7 @@ def verify_resolvable_bibd(design):
             CLASS_COUNT_FAIL,
             f"{design.num_classes} classes, expected (n-1)/(k-1) = "
             f"{(n - 1) / (k - 1):g}"))
-    return DesignReport(tuple(out))
+    return out
 
 
 def design_to_hypergraph(design):
@@ -309,25 +342,42 @@ def construct_resolvable_bibd(n, k):
 
 
 def format_design(design):
+    row = {k: " ".join(["%s"] * k)  # per block size
+           for k in set(map(len, design.blocks()))}
     lines = [f"{design.n} {design.k} {design.num_classes}"]
     for ci, cls in enumerate(design.classes):
         if ci:
             lines.append("%")
-        lines.extend(" ".join(str(p) for p in blk) for blk in cls)
+        lines.extend(map(str.__mod__, map(row.__getitem__, map(len, cls)),
+                         cls))
     return "\n".join(lines) + "\n"
 
 
 def parse_design(text):
+    """The design of a design text.  The body is cut at its '%' rows once
+    and each class's rows are converted as one list; a row that is not
+    all integers is named in file order, before the class count is
+    checked."""
     rows = _content_rows(text)
     if not rows:
         raise ValueError("empty design text")
     n, k, m = _header(rows[0], "<n> <k> <m>")
-    classes = [[]]
-    for ln in rows[1:]:
-        if ln.strip() == "%":
-            classes.append([])
-        else:
-            classes[-1].append(_ints(ln))
+    body = rows[1:]
+    stripped = list(map(str.strip, body))
+    cuts = [-1]
+    for _ in range(stripped.count("%")):
+        cuts.append(stripped.index("%", cuts[-1] + 1))
+    cuts.append(len(body))
+    try:
+        classes = tuple(
+            tuple(map(tuple, map(map, repeat(int),
+                                 map(str.split, body[a + 1:b]))))
+            for a, b in zip(cuts, cuts[1:]))
+    except ValueError:
+        for row, cell in zip(body, stripped):
+            if cell != "%":
+                _ints(row)  # raises for the first row with a non-integer
+        raise
     if len(classes) != m:
         raise ValueError(f"expected {m} classes, found {len(classes)}")
-    return ResolvableDesign.from_lists(n, k, classes)
+    return ResolvableDesign(n, k, classes)

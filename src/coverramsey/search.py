@@ -184,8 +184,8 @@ def _pair_block_map(hg):
     """block[u][v]: the one hyperedge holding the pair {u, v}."""
     pair_edges = hg.pair_edges()
     total = hg.n * (hg.n - 1) // 2
-    if len(pair_edges) != total or any(len(v) != 1 for v in
-                                       pair_edges.values()):
+    # all C(n, 2) pairs are covered, and by C(n, 2) pair-edge incidences
+    if not len(pair_edges) == total == sum(map(len, pair_edges.values())):
         raise ValueError("host must be linear and covering "
                          "(every pair in exactly one hyperedge)")
     block = [[-1] * (hg.n + 1) for _ in range(hg.n + 1)]
@@ -194,45 +194,99 @@ def _pair_block_map(hg):
     return block
 
 
-def _bad_events(block, colors, t):
-    """Yield the bad events of `scan_bad_events` in lexicographic t_set
-    order, given the `_pair_block_map` table and one color per block,
-    growing each vertex set one vertex at a time.
+class _CliqueScan:
+    """The bad events of a linear covering host under a 2-coloring of its
+    blocks, kept as bitsets over the vertices 1..n.
 
-    The first pair fixes the color.  A candidate vertex stays only while
-    its block to every chosen vertex has that color and is not yet used;
-    on a linear host an unused block is one holding no third chosen point,
-    so a prefix that cannot become a bad event is dropped at once.
+    `block[u][v]` is the block through u and v (`_pair_block_map`),
+    `points[b]` the mask of block b's points, and `adj[c][u]` the mask of
+    the vertices x whose block through u has color c.  `recolor` keeps
+    `adj` in step with `colors` by flipping only the bits of the pairs in
+    the re-colored block, so a coloring that changes a few blocks at a
+    time (Moser-Tardos) is scanned again without rebuilding anything.
     """
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    n = len(block) - 1
 
-    def grow(chosen, used, cand, color):
-        if len(chosen) == t:
-            yield BadEvent(tuple(chosen), tuple(sorted(used)), color)
-            return
-        for i, w in enumerate(cand):
-            if len(chosen) + len(cand) - i < t:
+    def __init__(self, hg, colors):
+        self.block = _pair_block_map(hg)
+        self.members = hg.edges
+        self.colors = list(colors)
+        self.points = [sum(1 << p for p in e) for e in hg.edges]
+        self.adj = adj = [[0] * (hg.n + 1), [0] * (hg.n + 1)]
+        for e, mask, c in zip(hg.edges, self.points, self.colors):
+            row = adj[c]
+            for u in e:
+                row[u] |= mask ^ 1 << u
+
+    def recolor(self, b, color):
+        """Give block b the color `color`."""
+        old = self.colors[b]
+        if old != color:
+            self.colors[b] = color
+            mask = self.points[b]
+            keep = ~mask
+            was, now = self.adj[old], self.adj[color]
+            for u in self.members[b]:
+                was[u] &= keep
+                now[u] |= mask ^ 1 << u
+
+    def events(self, t):
+        """Yield the bad events of `scan_bad_events` in lexicographic
+        t_set order, growing each vertex set one vertex at a time.
+
+        The first pair u < w fixes the color c and the block b.  The
+        candidates for the next vertex are then the x > w whose blocks to
+        u and to w have color c, less the points of b; each vertex w
+        chosen later keeps the candidates above it whose block to w has
+        color c, less the points of its block to each chosen s.  On a
+        linear host that is exactly the set of x whose blocks to the
+        chosen vertices are distinct, unused and of color c.  A prefix
+        whose candidates are too few to reach t vertices is dropped.
+        """
+        if t < 0:
+            raise ValueError(f"t must be non-negative, got {t}")
+        if t < 2:
+            return  # no pair, so no block and no color
+        block, points, colors, adj = (self.block, self.points, self.colors,
+                                      self.adj)
+
+        def grow(chosen, used, cand, color):
+            if len(chosen) == t:
+                yield BadEvent(tuple(chosen), tuple(sorted(used)), color)
                 return
-            row = block[w]
-            grown = used | {row[s] for s in chosen}
-            yield from grow(chosen + [w], grown,
-                            [x for x in cand[i + 1:]
-                             if colors[row[x]] == color
-                             and row[x] not in grown], color)
+            need = t - len(chosen) - 1  # vertices to choose after the next
+            left = cand.bit_count()
+            row = adj[color]
+            while left > need:
+                low = cand & -cand
+                cand ^= low
+                left -= 1
+                w = low.bit_length() - 1
+                grown = cand & row[w]
+                if grown.bit_count() < need:
+                    continue
+                lines = [block[w][s] for s in chosen]
+                for b in lines:
+                    grown &= ~points[b]
+                if grown.bit_count() >= need:
+                    yield from grow(chosen + [w], used + lines, grown, color)
 
-    if t < 2:
-        return  # no pair, so no block and no color
-    for u in range(1, n + 1):
-        for w in range(u + 1, n + 1):
-            b = block[u][w]
-            color = colors[b]
-            yield from grow([u, w], {b},
-                            [x for x in range(w + 1, n + 1)
-                             if colors[block[u][x]] == color
-                             and colors[block[w][x]] == color
-                             and block[w][x] != b], color)
+        for u in range(1, len(block)):
+            above = -2 << u  # the vertices after u
+            starts = 0
+            for row in adj:
+                if (row[u] & above).bit_count() >= t - 1:
+                    starts |= row[u] & above
+            line = block[u]
+            while starts:
+                low = starts & -starts
+                starts ^= low
+                w = low.bit_length() - 1
+                b = line[w]
+                color = colors[b]
+                row = adj[color]
+                cand = row[u] & row[w] & -2 << w & ~points[b]
+                if cand.bit_count() >= t - 2:
+                    yield from grow([u, w], [b], cand, color)
 
 
 def scan_bad_events(hg, coloring, t):
@@ -242,10 +296,11 @@ def scan_bad_events(hg, coloring, t):
     A t-set qualifies iff no hyperedge contains 3 of its vertices (with
     one block per pair, that is the same as all blocks being distinct) and
     the blocks all share one color.  The sets are enumerated by extension
-    (`_bad_events`), so t-sets that fail on a prefix are never visited.
+    on color-class bitsets (`_CliqueScan`), so t-sets that fail on a
+    prefix are never visited.
     """
     check_coloring(hg, coloring)
-    return list(_bad_events(_pair_block_map(hg), coloring.colors, t))
+    return list(_CliqueScan(hg, coloring.colors).events(t))
 
 
 def _check_t(t):
@@ -280,19 +335,19 @@ def moser_tardos_coloring(hg, t, seed=0,
         raise ValueError(f"max resamples must be non-negative, "
                          f"got {max_resamples}")
     rng = random.Random(seed)
-    colors = [rng.randrange(2) for _ in range(hg.num_edges)]
-    block = _pair_block_map(hg)
+    scan = _CliqueScan(hg, [rng.randrange(2) for _ in range(hg.num_edges)])
     trace = []
     resamples = 0
     while True:
-        event = next(_bad_events(block, colors, t), None)
+        event = next(scan.events(t), None)
         if event is None:
-            return MTRun(EdgeColoring(tuple(colors)), resamples, tuple(trace))
+            return MTRun(EdgeColoring(tuple(scan.colors)), resamples,
+                         tuple(trace))
         if resamples >= max_resamples:
             return MTRun(None, resamples, tuple(trace))
         trace.append(event)
         for b in event.blocks:
-            colors[b] = rng.randrange(2)
+            scan.recolor(b, rng.randrange(2))
         resamples += 1
 
 
@@ -334,12 +389,11 @@ def lower_bound_certificate(hg, coloring, t):
     if not hg.is_covering():
         raise ValueError("host must be covering")
     check_coloring(hg, coloring)
-    codegrees = [len(v) for v in hg.pair_edges().values()]
-    linear = codegrees and min(codegrees) == max(codegrees) == 1
+    pairs = hg.pair_edges()
+    linear = bool(pairs) and sum(map(len, pairs.values())) == len(pairs)
     method = "bad-event-scan" if linear else "mono-berge-search"
     if linear:
-        event = next(_bad_events(_pair_block_map(hg), coloring.colors, t),
-                     None)
+        event = next(_CliqueScan(hg, coloring.colors).events(t), None)
         if event is not None:
             # the event is the copy: K_t's vertex i on t_set[i - 1], and
             # each edge on the one block of its pair, which is h(uv)

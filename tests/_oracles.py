@@ -4,6 +4,7 @@ library's own search heuristics: vertex injections and edge injections are
 enumerated directly.
 """
 
+import random
 from itertools import combinations, permutations
 
 from coverramsey import EdgeColoring, Hypergraph
@@ -117,20 +118,72 @@ def random_coloring(rng, hg):
     return EdgeColoring(tuple(rng.randrange(2) for _ in range(hg.num_edges)))
 
 
+def _bad_set_test(hg, colors):
+    """bad(vertex_set): (sorted blocks, color) when the set's pair blocks
+    are pairwise distinct and share one color, else None.  Sets of fewer
+    than 2 vertices are never bad."""
+    block_of = {p: i for i, e in enumerate(hg.edges)
+                for p in combinations(e, 2)}.__getitem__
+
+    def bad(vertex_set):
+        pairs = len(vertex_set) * (len(vertex_set) - 1) // 2
+        blocks = set(map(block_of, combinations(vertex_set, 2)))
+        if pairs and len(blocks) == pairs:
+            cs = {colors[b] for b in blocks}
+            if len(cs) == 1:
+                return tuple(sorted(blocks)), cs.pop()
+        return None
+
+    return bad
+
+
 def naive_bad_events(hg, coloring, t):
     """Every vertex t-set of a linear host whose C(t, 2) pair blocks are
     pairwise distinct and share one color, found by testing all C(n, t)
     sets; returns (t_set, sorted blocks, color) triples in lexicographic
     order."""
-    block_of = {p: i for i, e in enumerate(hg.edges)
-                for p in combinations(e, 2)}.__getitem__
-    pairs = t * (t - 1) // 2
-    out = []
-    for t_set in combinations(range(1, hg.n + 1), t):
-        blocks = set(map(block_of, combinations(t_set, 2)))
-        if len(blocks) != pairs:
-            continue
-        cs = {coloring.colors[b] for b in blocks}
-        if len(cs) == 1:
-            out.append((t_set, tuple(sorted(blocks)), cs.pop()))
-    return out
+    bad = _bad_set_test(hg, coloring.colors)
+    return [(t_set,) + found
+            for t_set in combinations(range(1, hg.n + 1), t)
+            if (found := bad(t_set))]
+
+
+def first_bad_event(hg, colors, t):
+    """The first of `naive_bad_events` for the colors, or None, by the same
+    test on vertex sets in lexicographic order; a set is extended only
+    when it is bad itself, since every subset of a bad set is bad."""
+    bad = _bad_set_test(hg, colors)
+
+    def first(prefix):
+        for x in range(prefix[-1] + 1 if prefix else 1, hg.n + 1):
+            grown = prefix + (x,)
+            if len(grown) >= 2 and not (found := bad(grown)):
+                continue
+            if len(grown) == t:
+                return (grown,) + found
+            hit = first(grown)
+            if hit:
+                return hit
+        return None
+
+    return first(()) if t >= 2 else None
+
+
+def naive_moser_tardos(hg, t, seed=0, max_resamples=10 ** 6):
+    """Moser-Tardos resampling that rescans the whole host for the least
+    bad event after every resample (`first_bad_event`), with the seeded
+    random stream of `moser_tardos_coloring`: the initial colors in edge
+    order, then one draw per block of each resampled event.  Returns
+    (final colors or None, resample count, trace of (t_set, blocks, color))."""
+    rng = random.Random(seed)
+    colors = [rng.randrange(2) for _ in range(hg.num_edges)]
+    trace = []
+    while True:
+        event = first_bad_event(hg, colors, t)
+        if event is None:
+            return tuple(colors), len(trace), tuple(trace)
+        if len(trace) >= max_resamples:
+            return None, len(trace), tuple(trace)
+        trace.append(event)
+        for b in event[1]:
+            colors[b] = rng.randrange(2)

@@ -709,7 +709,14 @@ class TestVerifyDispatch:
         # JSON has no comments, so a '#' line before the record is an error
         path.write_text("# note\n\n" + text)
         assert run("verify", path) == 1
-        assert len(error_lines(capsys)) == 1
+        assert error_lines(capsys) == [
+            "error: line 1 is a '#' comment ('# note'); a JSON record "
+            "cannot hold comment lines"]
+        path.write_text("\n  # header\n" + text)
+        assert run("verify", path) == 1
+        assert error_lines(capsys) == [
+            "error: line 2 is a '#' comment ('# header'); a JSON record "
+            "cannot hold comment lines"]
 
     def test_unknown_record_type(self, files):
         bad = files["dir"] / "bad.json"

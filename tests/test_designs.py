@@ -8,7 +8,8 @@ from coverramsey import (ResolvableDesign, UnsupportedParametersError,
                          construct_resolvable_bibd, design_to_hypergraph,
                          format_design, parse_design, verify_resolvable_bibd)
 from coverramsey.designs import (CLASS_COUNT_FAIL, PAIR_COUNT_FAIL,
-                                 PARTITION_FAIL, _gf_tables, _prime_power)
+                                 PARTITION_FAIL, DesignReport, _gf_tables,
+                                 _is_valid, _prime_power, _violations)
 
 
 def is_prime_power(q):
@@ -211,6 +212,91 @@ class TestVerifier:
                         (ci, bi, pi)
 
 
+def _mutate(design, change):
+    """The design with `change(classes)` applied to a mutable copy of its
+    classes (lists of block lists)."""
+    classes = [[list(blk) for blk in c] for c in design.classes]
+    change(classes)
+    return ResolvableDesign.from_lists(design.n, design.k, classes)
+
+
+def _reverse_block(classes):
+    classes[0][0].reverse()
+
+
+def _repeat_point(classes):
+    classes[0][0][1] = classes[0][0][0]
+
+
+def _swap_across_blocks(classes):
+    # the class still partitions 1..n, but the moved points meet pairs
+    # that other classes already cover
+    classes[0][0][0], classes[0][1][0] = classes[0][1][0], classes[0][0][0]
+
+
+def _drop_class(classes):
+    classes.pop()
+
+
+def _point_out_of_range(classes):
+    classes[-1][-1][-1] = 999
+
+
+def _repeat_class(classes):
+    classes.append(classes[0])
+
+
+def _last_class_as_first_reversed(classes):
+    # C(n, 2) pairs, each class a partition, but the first class's pairs
+    # twice: once ascending, once descending, so that only a pair check
+    # on sorted blocks sees them repeat
+    classes[-1] = [blk[::-1] for blk in classes[0]]
+
+
+# (mutation, codes of the walk's report); the reversed block is still valid
+MUTATIONS = [
+    (_reverse_block, set()),
+    (_last_class_as_first_reversed, {PAIR_COUNT_FAIL}),
+    (_repeat_point, {PARTITION_FAIL, PAIR_COUNT_FAIL}),
+    (_swap_across_blocks, {PAIR_COUNT_FAIL}),
+    (_drop_class, {PAIR_COUNT_FAIL, CLASS_COUNT_FAIL}),
+    (_point_out_of_range, {PARTITION_FAIL, PAIR_COUNT_FAIL}),
+    (_repeat_class, {PAIR_COUNT_FAIL, CLASS_COUNT_FAIL}),
+]
+
+
+class TestWholeListAudit:
+    """The whole-list proof of validity and the per-block walk agree."""
+
+    @staticmethod
+    def assert_agree(design):
+        walk = DesignReport(tuple(_violations(design)))
+        assert verify_resolvable_bibd(design) == walk
+        # the proof accepts exactly what the walk finds no fault in, but
+        # leaves block sizes below 2 to the walk
+        assert _is_valid(design) == (walk.ok() and design.k >= 2)
+        return walk
+
+    def test_every_supported_design(self, sweep):
+        for design in sweep.values():
+            assert self.assert_agree(design).ok()
+
+    @pytest.mark.parametrize("change,codes", MUTATIONS,
+                             ids=[m[0].__name__ for m in MUTATIONS])
+    def test_mutations(self, sweep, change, codes):
+        for (n, k), design in sweep.items():
+            if n > 81 or k == n:  # one block: no second block to swap
+                continue
+            assert self.assert_agree(_mutate(design, change)).codes() \
+                == codes, (n, k)
+
+    def test_degenerate_block_size_uses_the_walk(self):
+        assert self.assert_agree(
+            ResolvableDesign.from_lists(1, 1, [[(1,)]])).ok()
+        assert self.assert_agree(ResolvableDesign.from_lists(
+            3, 1, [[(1,), (2,), (3,)]])).codes() == {PAIR_COUNT_FAIL}
+
+
 class TestDesignToHypergraph:
     def test_9_3_hypergraph(self):
         hg = design_to_hypergraph(construct_resolvable_bibd(9, 3))
@@ -259,6 +345,42 @@ class TestTextFormat:
         text = format_design(design).replace("9 3 4", "9 3 5", 1)
         with pytest.raises(ValueError):
             parse_design(text)
+
+
+# (design text, message): the first failing check wins, in the order
+# empty text, header, non-integer row (in file order, whatever the class
+# count), class count
+DESIGN_MESSAGES = [
+    ("", "empty design text"),
+    ("# only a comment\n\n", "empty design text"),
+    ("3 3\n1 2 3\n", "header must be '<n> <k> <m>', got '3 3'"),
+    ("3 x 1\n1 2 x\n", "header must be '<n> <k> <m>', got '3 x 1'"),
+    ("3 3 1\n1 2 x\n", "non-integer entry in line '1 2 x'"),
+    ("3 3 5\n1 2 x\n", "non-integer entry in line '1 2 x'"),
+    ("3 3 2\n1 2 3\n%\n1 x 3\n%\n1 2 y\n",
+     "non-integer entry in line '1 x 3'"),
+    ("3 3 1\n1 2 3\n%%\n", "non-integer entry in line '%%'"),
+    ("3 3 2\n1 2 3\n % 1\n1 2 3\n", "non-integer entry in line ' % 1'"),
+    ("3 3 2\n1 2 3\n", "expected 2 classes, found 1"),
+    ("3 3 1\n1 2 3\n%\n", "expected 1 classes, found 2"),
+    ("3 3 1\n%\n\t%  \n", "expected 1 classes, found 3"),
+]
+
+
+@pytest.mark.parametrize("text,message", DESIGN_MESSAGES)
+def test_parse_design_messages(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_design(text)
+    assert str(info.value) == message
+
+
+def test_parse_design_cuts_at_separator_rows_only():
+    text = "# c\n3 3 4\n%\n  %\t\n3 1 2\n\n# c\n1 2 3\n%\n"
+    design = parse_design(text)
+    assert design == ResolvableDesign.from_lists(
+        3, 3, [[], [], [(3, 1, 2), (1, 2, 3)], []])
+    assert all(type(p) is int for c in design.classes for blk in c
+               for p in blk)
 
 
 class TestField:

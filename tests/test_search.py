@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -16,10 +17,11 @@ from coverramsey import (AVOIDABLE, EdgeColoring, Hypergraph,
 import coverramsey.berge
 import coverramsey.search
 from coverramsey.berge import BergeSearch
-from coverramsey.search import shard_prefixes
+from coverramsey.search import _CliqueScan, shard_prefixes
 
-from _oracles import (binary_unavoidable, fano, naive_bad_events,
-                      naive_unavoidable, random_hypergraph)
+from _oracles import (binary_unavoidable, fano, first_bad_event,
+                      naive_bad_events, naive_moser_tardos,
+                      naive_unavoidable, random_coloring, random_hypergraph)
 
 K2 = complete_graph(2)
 K3 = complete_graph(3)
@@ -353,6 +355,41 @@ class TestScanBadEvents:
             hit = contains_mono_berge(hg, coloring, k4, k4)
             assert (len(events) > 0) == (hit is not None)
 
+    @pytest.mark.parametrize("n,k", [(9, 3), (15, 3), (16, 4)])
+    @pytest.mark.parametrize("color", [0, 1])
+    def test_one_color_everywhere_matches_naive_scan(self, n, k, color):
+        hg = design_to_hypergraph(construct_resolvable_bibd(n, k))
+        coloring = EdgeColoring((color,) * hg.num_edges)
+        for t in range(9):
+            got = [(ev.t_set, ev.blocks, ev.color)
+                   for ev in scan_bad_events(hg, coloring, t)]
+            assert got == naive_bad_events(hg, coloring, t), t
+
+    @pytest.mark.parametrize("n,k", [(9, 3), (15, 3), (16, 4)])
+    def test_first_bad_event_oracle_is_the_first_naive_event(self, n, k):
+        # the rescan oracle's prefix-extension search against the full one
+        hg = design_to_hypergraph(construct_resolvable_bibd(n, k))
+        rng = random.Random(n + k)
+        for _ in range(4):
+            coloring = random_coloring(rng, hg)
+            for t in range(7):
+                want = naive_bad_events(hg, coloring, t)
+                assert first_bad_event(hg, coloring.colors, t) == \
+                    (want[0] if want else None), t
+
+    def test_recolor_matches_a_fresh_scan(self):
+        hg = design_to_hypergraph(construct_resolvable_bibd(21, 3))
+        rng = random.Random(21)
+        colors = [rng.randrange(2) for _ in range(hg.num_edges)]
+        scan = _CliqueScan(hg, colors)
+        for _ in range(200):
+            b, color = rng.randrange(hg.num_edges), rng.randrange(2)
+            scan.recolor(b, color)
+            colors[b] = color
+        fresh = _CliqueScan(hg, colors)
+        assert scan.colors == fresh.colors == colors
+        assert scan.adj == fresh.adj
+
 
 class TestMoserTardos:
     def test_d9_t4_terminates_and_scans_clean(self):
@@ -390,6 +427,41 @@ class TestMoserTardos:
         run = moser_tardos_coloring(hg, t, seed=0)
         assert run.resamples == len(run.trace) == resamples
         assert scan_bad_events(hg, run.coloring, t) == []
+
+    @pytest.mark.parametrize("n,k", [(9, 3), (15, 3), (16, 4), (21, 3),
+                                     (25, 5), (27, 3)])
+    def test_matches_rescan_oracle(self, n, k):
+        hg = design_to_hypergraph(construct_resolvable_bibd(n, k))
+        for t in range(2, 8):
+            for seed in range(3):
+                run = moser_tardos_coloring(hg, t, seed=seed,
+                                            max_resamples=40)
+                got = (run.coloring and run.coloring.colors, run.resamples,
+                       tuple((ev.t_set, ev.blocks, ev.color)
+                             for ev in run.trace))
+                assert got == naive_moser_tardos(hg, t, seed, 40), (t, seed)
+
+    def test_run_results_digest_pinned(self):
+        # SHA-256 of runs of at most 60 resamples on the larger hosts,
+        # taken before the scan ran on color-class bitsets; the resample
+        # counts are negated where no good coloring was found
+        digest = hashlib.sha256()
+        counts = []
+        for n, k, ts in ((49, 7, (5, 6, 7)), (81, 3, (6, 7, 8))):
+            hg = design_to_hypergraph(construct_resolvable_bibd(n, k))
+            for t in ts:
+                for seed in (0, 1):
+                    run = moser_tardos_coloring(hg, t, seed=seed,
+                                                max_resamples=60)
+                    counts.append(run.resamples if run.coloring
+                                  else -run.resamples)
+                    digest.update(repr((
+                        run.coloring and run.coloring.colors, run.resamples,
+                        [(ev.t_set, ev.blocks, ev.color)
+                         for ev in run.trace])).encode())
+        assert counts == [-60, -60, 15, 8, 0, 0, -60, -60, -60, -60, 18, -60]
+        assert digest.hexdigest() == ("b03fc422d603d9c24079c68bdd1b2199"
+                                      "98ce41591d63250774dee87105fc0c1a")
 
     def test_builds_only_the_returned_coloring(self, monkeypatch):
         built = []
