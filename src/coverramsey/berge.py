@@ -11,7 +11,7 @@ hyperedges of each mapped pair).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .hypergraph import (Hypergraph, _read_edge_list, check_coloring,
                          complete_host)
@@ -46,14 +46,12 @@ def parse_target(text):
     return Hypergraph(n, edges, {2})
 
 
-@dataclass(frozen=True)
-class BergeCertificate:
+class BergeCertificate(namedtuple("BergeCertificate", "vertex_map edge_map")):
     """Witness of a Berge-G copy: `vertex_map` sends graph vertex -> host
     vertex, `edge_map` sends graph edge index -> hyperedge index.  Both are
     stored as sorted (key, value) tuples."""
 
-    vertex_map: tuple
-    edge_map: tuple
+    __slots__ = ()
 
     @classmethod
     def from_dicts(cls, vertex_map, edge_map):
@@ -67,10 +65,11 @@ class BergeCertificate:
         return dict(self.edge_map)
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    ok: bool
-    reason: str | None = None
+class VerifyResult(namedtuple("VerifyResult", "ok reason",
+                              defaults=(None,))):
+    """`ok`, and the reason code of a failure (None on success)."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok

@@ -12,7 +12,7 @@ True.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, e, inf, sqrt
 
@@ -39,16 +39,13 @@ class NoValidNError(ValueError):
     """Raised when no vertex count satisfies the local-lemma inequality."""
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(namedtuple("BoundReport",
+                             "formula_id inputs value satisfied notes",
+                             defaults=(None, ()))):
     """One evaluated formula: exact value, optional truth verdict for
     inequalities, and a human-readable derivation trail."""
 
-    formula_id: str
-    inputs: dict
-    value: object
-    satisfied: bool | None = None
-    notes: tuple = field(default_factory=tuple)
+    __slots__ = ()
 
     def render(self):
         lines = [f"formula: {self.formula_id}"]

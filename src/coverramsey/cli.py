@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import hashlib
 import io
@@ -90,7 +89,7 @@ def _emit_text(text, args):
 def _lower_bound_record(cert, manifest, **extra):
     """The JSON record of a LowerBoundCertificate; `extra` adds fields."""
     return {"record": "lower-bound-certificate", "manifest": manifest,
-            **dataclasses.asdict(cert), **extra}
+            **cert._asdict(), **extra}
 
 
 def _fraction_str(frac):
@@ -202,23 +201,34 @@ def cmd_find_berge(args):
     return EXIT_OK
 
 
-def cmd_unavoidable(args):
+def _shard_bits(args):
+    """The prefix length an `unavoidable` command line merges shards of,
+    or None when it runs one search; its flags are checked first."""
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    sharded = args.jobs > 1 or args.shard_bits is not None
-    if sharded and args.shard is not None:
+    if args.jobs == 1 and args.shard_bits is None:
+        return None
+    if args.shard is not None:
         raise ValueError("--shard runs one shard and takes neither "
                          "--jobs > 1 nor --shard-bits")
+    return 2 if args.shard_bits is None else args.shard_bits
+
+
+def _unavoidability(hg, g1, g2, args, bits, jobs):
+    """The result of the `unavoidable` command line `args` on the host and
+    targets, its shards (if `bits` is not None) run by `jobs` workers."""
+    if bits is None:
+        return unavoidable(hg, g1, g2, shard=args.shard, limit=args.limit)
+    return unavoidable_sharded(hg, g1, g2, bits, limit=args.limit, jobs=jobs)
+
+
+def cmd_unavoidable(args):
+    bits = _shard_bits(args)
     inputs = {}
     hg = parse_hypergraph(_read(args.host, inputs))
     g1_text, g2_text = _read(args.g1, inputs), _read(args.g2, inputs)
     g1, g2 = parse_target(g1_text), parse_target(g2_text)
-    if sharded:
-        bits = 2 if args.shard_bits is None else args.shard_bits
-        result = unavoidable_sharded(hg, g1, g2, bits, limit=args.limit,
-                                     jobs=args.jobs)
-    else:
-        result = unavoidable(hg, g1, g2, shard=args.shard, limit=args.limit)
+    result = _unavoidability(hg, g1, g2, args, bits, args.jobs)
     record = {
         "record": "unavoidability-result",
         "manifest": _manifest(args, inputs),
@@ -379,7 +389,7 @@ def _verify_lower_bound_record(record):
         cert = lower_bound_certificate(hg, coloring, record["t"])
     except VerificationFailure as exc:
         return False, str(exc)
-    problem = _mismatch(record, dataclasses.asdict(cert))
+    problem = _mismatch(record, cert._asdict())
     if not problem and ("resamples" in record
                         or record["manifest"]["subcommand"] == "mt-lll"):
         # an mt-lll run is re-run: its coloring and resample count must
@@ -406,14 +416,21 @@ def _verify_unavoidability_record(record):
         if hit is not None:
             return False, f"witness contains a monochromatic target: {hit[0]}"
         return True, "witness re-verified (avoids both targets)"
-    return True, ("UNAVOIDABLE verdicts re-verify only by re-running the "
-                  "search")
+    # the search is re-run as recorded, its shards by one worker
+    args = _recorded_args(record, "unavoidable")
+    result = _unavoidability(hg, g1, g2, args, _shard_bits(args), 1)
+    problem = _mismatch(record, {
+        "verdict": result.verdict,
+        "colorings_examined": result.colorings_examined,
+        "shard": result.shard_spec})
+    return not problem, problem or ("UNAVOIDABLE verdicts re-verify only "
+                                    "by re-running the search")
 
 
 def _recorded_args(record, command):
     """The arguments of the run that wrote `record`, parsed from its
     manifest argv by the parser that run used; the manifest seed must be
-    the argv's --seed."""
+    the argv's --seed, or null for a command that takes no seed."""
     argv = record["manifest"]["argv"]
     args = None
     if type(argv) is list and all(type(a) is str for a in argv):
@@ -427,11 +444,12 @@ def _recorded_args(record, command):
     if args is None or args.command != command:
         raise ValueError(f"malformed {record['record']} record: argv "
                          f"{reprlib.repr(argv)} is not a {command} command")
-    seed = record["manifest"]["seed"]
-    if type(seed) is not int or seed != args.seed:
+    seed, want = record["manifest"]["seed"], getattr(args, "seed", None)
+    if seed is not want and (type(seed) is not int or seed != want):
+        wanted = ("null, as the command takes no --seed" if want is None
+                  else f"the argv's --seed {want}")
         raise ValueError(f"malformed {record['record']} record: seed "
-                         f"{reprlib.repr(seed)} is not the argv's "
-                         f"--seed {args.seed}")
+                         f"{reprlib.repr(seed)} is not {wanted}")
     return args
 
 

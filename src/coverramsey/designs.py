@@ -30,7 +30,7 @@ arbitrary candidate designs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, combinations, repeat
 from math import comb, isqrt
 
@@ -46,15 +46,12 @@ class UnsupportedParametersError(ValueError):
     """Raised when (n, k) lies outside the implemented design families."""
 
 
-@dataclass(frozen=True)
-class ResolvableDesign:
+class ResolvableDesign(namedtuple("ResolvableDesign", "n k classes")):
     """Parallel classes of k-blocks over points 1..n; each class should
     partition the point set and each pair should appear in exactly one
     block overall (checked by `verify_resolvable_bibd`, not on init)."""
 
-    n: int
-    k: int
-    classes: tuple
+    __slots__ = ()
 
     @classmethod
     def from_lists(cls, n, k, classes):
@@ -70,15 +67,17 @@ class ResolvableDesign:
         return [blk for c in self.classes for blk in c]
 
 
-@dataclass(frozen=True)
-class DesignViolation:
-    code: str
-    detail: str
+class DesignViolation(namedtuple("DesignViolation", "code detail")):
+    """One failed design property: its code and a message naming it."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DesignReport:
-    violations: tuple
+class DesignReport(namedtuple("DesignReport", "violations")):
+    """The violations a design audit found, as a tuple (empty iff the
+    design is valid)."""
+
+    __slots__ = ()
 
     def ok(self):
         return not self.violations
@@ -179,16 +178,25 @@ def _prime_power(q):
     return (p, e) if q == 1 else None
 
 
+def _digit_sums(p, rows, cols):
+    """t[a][b], for a < rows and b < cols: a and b added base-p digit by
+    digit, each digit mod p.  This is the addition of GF(p^e) in the
+    encoding of `_gf_tables`, and the vector addition of GF(q)^d on the
+    point ids of `_affine_classes` (p the characteristic of q)."""
+    t = [list(range(cols))]
+    for a in range(1, rows):  # digit 0 mod p; the higher digits by their row
+        up = t[a // p]
+        t.append([(a + b) % p + p * up[b // p] for b in range(cols)])
+    return t
+
+
 def _gf_tables(q):
     """The addition and multiplication tables of GF(q), q = p^e a prime
     power.  Element a is the polynomial over GF(p) whose x^i coefficient
     is base-p digit i of a, taken modulo x^e + r for the first r in
     0..q-1 whose quotient ring has no zero divisors, i.e. is a field."""
     p, e = _prime_power(q)
-    add = [list(range(q))]
-    for a in range(1, q):  # digit 0 mod p; the higher digits by their row
-        up = add[a // p]
-        add.append([(a + b) % p + p * up[b // p] for b in range(q)])
+    add = _digit_sums(p, q, q)
 
     def row(shifts):
         """sum_i b_i shifts[i] for every b < p^len(shifts): shifts[i] plus
@@ -221,24 +229,28 @@ def _affine_classes(q, d):
     vectors whose top nonzero coordinate is 1, in ascending id order; each
     class lists its lines in ascending order.  Coordinates are GF(q)
     elements 0..q-1 and all field arithmetic is a lookup in the tables of
-    `_gf_tables`."""
-    add, mul = _gf_tables(q)
-    vecs = [tuple(a // q ** i % q for i in range(d)) for a in range(q ** d)]
-    pid = {v: a + 1 for a, v in enumerate(vecs)}
+    `_gf_tables`.
+
+    For a direction v whose top nonzero coordinate is j, each line has one
+    point with c_j = 0, its least; the lines whose least point is below
+    q^j are base + {t v}, one `map` over the base's row of the vector
+    addition table, and the others are those shifted up by multiples of
+    q^(j+1)."""
+    mul = _gf_tables(q)[1]
+    n = q ** d
+    vadd = _digit_sums(_prime_power(q)[0], n // q, n)
     classes = []
-    for v in vecs[1:]:
-        if next(c for c in reversed(v) if c) != 1:
-            continue
-        ray = [tuple(mul[t][c] for c in v) for t in range(q)]
-        seen, cls = set(), []
-        for base in vecs:  # ascending, so each line starts at its base
-            if base in seen:
-                continue
-            line = [tuple(add[b][c] for b, c in zip(base, r)) for r in ray]
-            seen.update(line)
-            cls.append(tuple(sorted(pid[p] for p in line)))
-        classes.append(tuple(cls))
-    return classes
+    for j in range(d):
+        for v in range(q ** j, 2 * q ** j):
+            coords = [v // q ** i % q for i in range(j + 1)]
+            ray = [sum(mul[t][c] * q ** i for i, c in enumerate(coords))
+                   for t in range(q)]
+            low = [sorted(map(vadd[base].__getitem__, ray))
+                   for base in range(q ** j)]
+            classes.append(tuple(tuple(map(shift.__add__, line))
+                                 for shift in range(1, n + 1, q ** (j + 1))
+                                 for line in low))
+    return tuple(classes)
 
 
 # -- Kirkman systems ----------------------------------------------------------
@@ -303,7 +315,7 @@ def _kts_three_q_classes(q):
         floating.append(((a, 0), (b, 1), (c, 2)))
     for x in range(q):
         classes.append(tuple(sorted(dev(base, x) for base in floating)))
-    return classes
+    return tuple(classes)
 
 
 def construct_resolvable_bibd(n, k):
@@ -317,16 +329,15 @@ def construct_resolvable_bibd(n, k):
         m //= k
         d += 1
     if m == 1 and _prime_power(k):
-        return ResolvableDesign.from_lists(n, k, _affine_classes(k, d))
+        return ResolvableDesign(k ** d, k, _affine_classes(k, d))
     if k == 3:
         if n % 6 != 3:
             raise UnsupportedParametersError(
                 f"no resolvable (n={n}, k=3, 1) design: n must be 3 (mod 6)")
         if n == 15:
-            return ResolvableDesign.from_lists(15, 3, _KTS15)
+            return ResolvableDesign(15, 3, _KTS15)
         if n // 3 in _KTS_TRANSVERSALS:
-            return ResolvableDesign.from_lists(
-                n, 3, _kts_three_q_classes(n // 3))
+            return ResolvableDesign(n, 3, _kts_three_q_classes(n // 3))
         raise UnsupportedParametersError(
             f"n={n} outside the implemented Kirkman families "
             f"(powers of 3, 15, or 3q with q in 7, 13, 19, 25)")

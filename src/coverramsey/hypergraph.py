@@ -10,7 +10,6 @@ Berge target, is a Hypergraph with uniformity {2}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 from operator import lt
 
@@ -156,18 +155,38 @@ def _raise_first_bad_edge(n, edges):
         seen.add(t)
 
 
-@dataclass(frozen=True)
 class EdgeColoring:
     """A 2-coloring: the color of each hyperedge index, in canonical edge
-    order, blue = 0 and red = 1."""
+    order, blue = 0 and red = 1.  Immutable, equal and hashed by value."""
 
-    colors: tuple
+    __slots__ = ("colors",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "colors", tuple(map(int, self.colors)))
-        if not {0, 1}.issuperset(self.colors):
-            bad = next(c for c in self.colors if c not in (0, 1))
+    def __init__(self, colors):
+        colors = tuple(map(int, colors))
+        if not {0, 1}.issuperset(colors):
+            bad = next(c for c in colors if c not in (0, 1))
             raise ValueError(f"color {bad} outside palette 0..1")
+        object.__setattr__(self, "colors", colors)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("EdgeColoring is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("EdgeColoring is immutable")
+
+    def __reduce__(self):
+        return (EdgeColoring, (self.colors,))
+
+    def __eq__(self, other):
+        if not isinstance(other, EdgeColoring):
+            return NotImplemented
+        return self.colors == other.colors
+
+    def __hash__(self):
+        return hash((self.colors,))
+
+    def __repr__(self):
+        return f"EdgeColoring(colors={self.colors!r})"
 
     def __len__(self):
         return len(self.colors)

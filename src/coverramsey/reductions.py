@@ -15,7 +15,7 @@ labels.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, islice
 from math import comb
@@ -26,13 +26,10 @@ from .hypergraph import Hypergraph, check_coloring
 DEFAULT_MAX_ATTEMPTS = 1000
 
 
-@dataclass(frozen=True)
-class ScatterSample:
+class ScatterSample(namedtuple("ScatterSample", "subset attempts seed")):
     """A sampled vertex subset with every hyperedge intersection <= 2."""
 
-    subset: tuple
-    attempts: int
-    seed: int
+    __slots__ = ()
 
 
 def _draws(hg, s, seed):
@@ -88,15 +85,13 @@ def scatter_failure_bound(n, s, k):
     return Fraction(3 * comb(k, 3) * comb(s, 3), n - 2)
 
 
-@dataclass(frozen=True)
-class TraceColoring:
+class TraceColoring(namedtuple("TraceColoring",
+                               "subset pair_color provenance")):
     """Complete 2-colored graph on a scattered subset, with provenance:
     each pair's color comes from the unique-intersection hyperedge chosen
     for it, and distinct pairs always use distinct hyperedges."""
 
-    subset: tuple
-    pair_color: dict
-    provenance: dict
+    __slots__ = ()
 
 
 def trace_coloring(hg, coloring, sample):
@@ -128,17 +123,14 @@ def trace_coloring(hg, coloring, sample):
     return TraceColoring(sample.subset, pair_color, provenance)
 
 
-@dataclass(frozen=True)
-class ProductReduction:
+class ProductReduction(namedtuple(
+        "ProductReduction",
+        "n palette_size label_count pair_color provenance")):
     """2*C(k,2)-colored complete graph on the host's vertex set.  The color
     of pair uv encodes (host color of h(uv), label of uv inside h(uv));
     labels enumerate each hyperedge's pairs lexicographically from 1."""
 
-    n: int
-    palette_size: int
-    label_count: int
-    pair_color: dict
-    provenance: dict
+    __slots__ = ()
 
     def color_parts(self, color_id):
         """Decode a product color id into (host color, label)."""

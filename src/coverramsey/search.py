@@ -8,8 +8,8 @@ lower-bound certificates.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from contextlib import ExitStack
-from dataclasses import dataclass
 
 from .berge import (BergeSearch, complete_graph, contains_mono_berge,
                     lift_embedding)
@@ -36,12 +36,13 @@ class VerificationFailure(RuntimeError):
         self.certificate = certificate
 
 
-@dataclass(frozen=True)
-class UnavoidabilityResult:
-    verdict: str
-    witness: EdgeColoring | None
-    colorings_examined: int
-    shard_spec: str | None = None
+class UnavoidabilityResult(namedtuple(
+        "UnavoidabilityResult",
+        "verdict witness colorings_examined shard_spec", defaults=(None,))):
+    """A verdict, the AVOIDABLE witness EdgeColoring (else None), the
+    colorings counted, and the shard spec (None for a whole search)."""
+
+    __slots__ = ()
 
 
 def _check_limit(limit):
@@ -169,15 +170,12 @@ def classical_ramsey_small(g1, g2, n_max, limit=DEFAULT_COLORING_LIMIT):
     return None
 
 
-@dataclass(frozen=True)
-class BadEvent:
+class BadEvent(namedtuple("BadEvent", "t_set blocks color")):
     """A vertex t-set whose C(t,2) covering blocks are pairwise distinct
     and share one color: exactly a monochromatic Berge clique on a linear
     host."""
 
-    t_set: tuple
-    blocks: tuple
-    color: int
+    __slots__ = ()
 
 
 def _pair_block_map(hg):
@@ -309,15 +307,12 @@ def _check_t(t):
         raise ValueError(f"t must be at least 2, got {t}")
 
 
-@dataclass(frozen=True)
-class MTRun:
+class MTRun(namedtuple("MTRun", "coloring resamples trace")):
     """Outcome of a Moser-Tardos run: the good coloring (or None on
     resample exhaustion), the resample count, and the resampled events in
     order (the trace)."""
 
-    coloring: EdgeColoring | None
-    resamples: int
-    trace: tuple
+    __slots__ = ()
 
 
 def moser_tardos_coloring(hg, t, seed=0,
@@ -359,20 +354,14 @@ def _subscript(value):
     return str(value).translate(str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉"))
 
 
-@dataclass(frozen=True)
-class LowerBoundCertificate:
+class LowerBoundCertificate(namedtuple(
+        "LowerBoundCertificate",
+        "n t uniformity bound statement method host_text coloring_text")):
     """Verified statement that a coloring of an n-vertex covering host
     avoids monochromatic Berge-K_t, hence the cover Ramsey number for
     Berge-K_t exceeds n.  Embeds everything needed to re-verify."""
 
-    n: int
-    t: int
-    uniformity: tuple
-    bound: int
-    statement: str
-    method: str
-    host_text: str
-    coloring_text: str
+    __slots__ = ()
 
 
 def lower_bound_certificate(hg, coloring, t):

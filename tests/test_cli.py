@@ -181,6 +181,82 @@ class TestUnavoidable:
             "verdict 'banana'"]
         assert capsys.readouterr().out == ""
 
+    def forge(self, out, *argv, **fields):
+        """Write an `unavoidable` record of the command line `argv` to
+        `out`, with `fields` replaced (None deletes)."""
+        assert run("unavoidable", *argv, "-o", out) == 0
+        record = json.loads(out.read_text())
+        record.update(fields)
+        for key in [k for k, v in fields.items() if v is None]:
+            del record[key]
+        out.write_text(json.dumps(record))
+
+    def test_forged_unavoidable_record_exit_3(self, files, capsys):
+        # K5 (K3, K3) is avoidable; the forged record claims otherwise
+        out = files["dir"] / "unavoid.json"
+        self.forge(out, files["k5"], files["k3"], files["k3"],
+                   verdict="UNAVOIDABLE", witness=None, colorings_examined=512)
+        capsys.readouterr()
+        assert run("verify", out) == 3
+        assert capsys.readouterr().out == (
+            "verdict mismatch: recomputed 'AVOIDABLE', recorded "
+            "'UNAVOIDABLE'\n")
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"verdict": "AVOIDABLE", "witness": "0" * 15},
+         "witness contains a monochromatic target: 0"),
+        ({"colorings_examined": 16383},
+         "colorings_examined mismatch: recomputed 16384, recorded 16383"),
+        ({"shard": "0"}, "shard mismatch: recomputed None, recorded '0'")],
+        ids=["verdict", "colorings_examined", "shard"])
+    def test_forged_k6_record_exit_3(self, files, capsys, fields, message):
+        out = files["dir"] / "unavoid.json"
+        self.forge(out, files["k6"], files["k3"], files["k3"], **fields)
+        capsys.readouterr()
+        assert run("verify", out) == 3
+        assert capsys.readouterr().out == message + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--shard", "01"], ["--shard-bits", "2"], ["--jobs", "2"],
+        ["--shard-bits", "3", "--limit", "4096"]])
+    def test_unavoidable_record_verifies_by_rerun(self, files, capsys, argv):
+        out = files["dir"] / "unavoid.json"
+        assert run("unavoidable", files["k6"], files["k3"], files["k3"],
+                   *argv, "-o", out) == 0
+        assert json.loads(out.read_text())["verdict"] == "UNAVOIDABLE"
+        capsys.readouterr()
+        assert run("verify", out) == 0
+        assert capsys.readouterr().out == (
+            "UNAVOIDABLE verdicts re-verify only by re-running the search\n")
+
+    def test_rerun_past_the_recorded_limit_exit_2(self, files, capsys):
+        out = files["dir"] / "unavoid.json"
+        self.forge(out, files["k6"], files["k3"], files["k3"])
+        record = json.loads(out.read_text())
+        record["manifest"]["argv"] += ["--limit", "4"]
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 2
+        assert "limit exceeded: 16384 colorings exceed the limit 4" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("seed", [0, "0", False],
+                             ids=["int", "str", "bool"])
+    def test_unavoidable_record_with_a_seed_is_malformed(self, files, capsys,
+                                                         seed):
+        # the unavoidable parser has no --seed, so its records hold null
+        out = files["dir"] / "unavoid.json"
+        self.forge(out, files["k6"], files["k3"], files["k3"])
+        record = json.loads(out.read_text())
+        assert record["manifest"]["seed"] is None
+        record["manifest"]["seed"] = seed
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 1
+        assert error_lines(capsys) == [
+            f"error: malformed unavoidability-result record: seed "
+            f"{seed!r} is not null, as the command takes no --seed"]
+
     def test_default_limit_is_the_library_default(self):
         args = build_parser().parse_args(["unavoidable", "h", "g1", "g2"])
         assert args.limit == DEFAULT_COLORING_LIMIT

@@ -128,6 +128,18 @@ class TestConstruction:
         assert sha256(format_design(construct_resolvable_bibd(n, k))) \
             == digest
 
+    def test_affine_classes_pinned(self, sweep):
+        # one digest of the classes of all 32 affine designs AG(d, k) in
+        # the sweep, as the per-point builder made them: same lines, same
+        # order, int points in tuples
+        affine = [(n, k, design.classes)
+                  for (n, k), design in sorted(sweep.items())
+                  if (n, k) not in {(15, 3), (21, 3), (39, 3), (57, 3),
+                                    (75, 3)}]
+        assert len(affine) == 32
+        assert sha256(repr(affine)) == (
+            "103799ad11e2d12f47018b917d2f74d363fd2cf895c61f1087d074c4d18a3d67")
+
     def test_supported_parameters_sweep(self, sweep):
         expected = ({(k ** d, k) for k in range(2, 17) if is_prime_power(k)
                      for d in range(1, 9) if k ** d < 260}

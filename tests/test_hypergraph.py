@@ -3,14 +3,38 @@ from itertools import combinations
 
 import pytest
 
-from coverramsey import (EdgeColoring, Hypergraph, complete_host,
-                         format_coloring, format_hypergraph,
+from coverramsey import (BadEvent, BergeCertificate, BoundReport,
+                         EdgeColoring, Hypergraph, LowerBoundCertificate,
+                         MTRun, ProductReduction, ResolvableDesign,
+                         ScatterSample, TraceColoring, UnavoidabilityResult,
+                         complete_host, format_coloring, format_hypergraph,
                          minimal_covering_subhypergraph, parse_coloring,
                          parse_hypergraph)
 
-from coverramsey.berge import parse_target
+from coverramsey.berge import VerifyResult, parse_target
+from coverramsey.designs import DesignReport, DesignViolation
 
 from _oracles import fano, random_hypergraph
+
+
+# one instance of each of the package's record types, with a field
+RECORDS = [
+    (EdgeColoring((0, 1, 1)), "colors"),
+    (BergeCertificate(((1, 2),), ((0, 3),)), "edge_map"),
+    (VerifyResult(False, "COLOR_FAIL"), "ok"),
+    (BoundReport("thm1", {"k": 3}, 5), "notes"),
+    (ResolvableDesign(3, 3, (((1, 2, 3),),)), "classes"),
+    (DesignViolation("PARTITION_FAIL", "class 0"), "detail"),
+    (DesignReport(()), "violations"),
+    (ScatterSample((1, 2, 4), 1, 0), "subset"),
+    (TraceColoring((1, 2), {(1, 2): 0}, {(1, 2): 0}), "pair_color"),
+    (ProductReduction(2, 2, 1, {(1, 2): 0}, {(1, 2): (0, 1)}), "n"),
+    (UnavoidabilityResult("AVOIDABLE", EdgeColoring((0,)), 1), "verdict"),
+    (BadEvent((1, 2), (0,), 1), "color"),
+    (MTRun(None, 3, ()), "resamples"),
+    (LowerBoundCertificate(3, 3, (2,), 4, "R", "bad-event-scan",
+                           "3 3\n1 2\n1 3\n2 3\n", "000\n"), "bound"),
+]
 
 
 class TestShadow:
@@ -150,6 +174,25 @@ class TestConstruction:
         hg = fano()
         with pytest.raises(AttributeError):
             hg.n = 9
+
+    @pytest.mark.parametrize("record,field", RECORDS,
+                             ids=[type(r).__name__ for r, _ in RECORDS])
+    def test_record_types_immutable(self, record, field):
+        value = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert getattr(record, field) is value
+
+    def test_edge_coloring_is_a_value(self):
+        a, b = EdgeColoring((0, 1, 1)), EdgeColoring([0, 1, 1])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != EdgeColoring((0, 1, 0)) and a != (0, 1, 1)
+        assert repr(a) == "EdgeColoring(colors=(0, 1, 1))"
+        assert len(a) == 3 and a.indices_of(1) == (1, 2)
 
 
 class TestTextFormat:

@@ -57,14 +57,30 @@ def test_pyproject_has_no_dependencies_and_the_package_version():
     assert re.fullmatch(r"\d+\.\d+\.\d+", coverramsey.__version__)
 
 
-def test_cli_import_loads_no_process_pool():
-    # a fresh interpreter's `import coverramsey.cli` (the start-up cost of
-    # every run) leaves the pool modules to the sharded runs that use them
-    code = ("import sys, coverramsey.cli; print(sorted(m for m in sys.modules"
-            " if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+def fresh_interpreter(code):
+    """The stripped stdout of `code` run by a fresh interpreter that
+    imports the package from this checkout."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path},
                           timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_loads_no_process_pool():
+    # a fresh interpreter's `import coverramsey.cli` (the start-up cost of
+    # every run) leaves the pool modules to the sharded runs that use them
+    code = ("import sys, coverramsey.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    assert fresh_interpreter(code) == "[]"
+
+
+def test_cli_import_generates_no_code():
+    # the record types are named tuples: importing the CLI loads neither
+    # `dataclasses` nor the `inspect` it pulls in.  Only modules the import
+    # adds count, so a start-up hook that loads them cannot fail this.
+    code = ("import sys; before = set(sys.modules); import coverramsey.cli; "
+            "print(sorted({'dataclasses', 'inspect'} - before "
+            "& set(sys.modules)))")
+    assert fresh_interpreter(code) == "[]"

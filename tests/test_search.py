@@ -120,6 +120,14 @@ class TestUnavoidable:
         hg = complete_host(5)
         assert pickle.loads(pickle.dumps(hg)) == hg
         assert pickle.loads(pickle.dumps(K3)) == K3
+        # and the results that --jobs workers send back
+        res = unavoidable(hg, K3, K3)
+        assert res.witness is not None
+        assert pickle.loads(pickle.dumps(res)) == res
+        design = design_to_hypergraph(construct_resolvable_bibd(9, 3))
+        cert = lower_bound_certificate(
+            design, moser_tardos_coloring(design, 4).coloring, 4)
+        assert pickle.loads(pickle.dumps(cert)) == cert
 
     def test_sharded_unavoidable_case(self):
         # P3 vs P3 on K3 is unavoidable; all shards must agree
