@@ -9,8 +9,6 @@ matching (a system of distinct representatives over the candidate
 hyperedges of each mapped pair).
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .hypergraph import (Hypergraph, _read_edge_list, check_coloring,

@@ -10,8 +10,6 @@ strict '< 1' direction, so tightening E_UPPER can only keep a True verdict
 True.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 from math import comb, e, inf, sqrt

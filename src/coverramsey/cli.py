@@ -9,8 +9,6 @@ Exit codes: 0 success / verdict found, 1 precondition violation,
 2 search or sampling limit exceeded, 3 verification failure.
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import functools
@@ -45,51 +43,62 @@ EXIT_LIMIT = 2
 EXIT_VERIFY = 3
 
 
-def _digest(data):
-    return "sha256:" + hashlib.sha256(data).hexdigest()
-
-
-def _read(path, inputs):
+def _read(args, path):
+    """The text of the input file `path`, its digest noted for the run's
+    manifest."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
-    inputs[path] = _digest(data)
+    args._inputs[path] = "sha256:" + hashlib.sha256(data).hexdigest()
     return data.decode("utf-8")
 
 
-def _manifest(args, inputs, seed=None):
+def _seed(args):
+    """The seed of a run: its --seed, or None for a command without one."""
+    return getattr(args, "seed", None)
+
+
+def _manifest(args):
     return {
         "tool": "coverramsey",
         "version": __version__,
         "subcommand": args.command,
         "argv": args._argv,
-        "seed": seed,
-        "inputs": inputs,
+        "seed": _seed(args),
+        "inputs": args._inputs,
     }
 
 
-def _emit_json(record, args):
+def _text_file(kind, args, body):
+    """A text output file: '# coverramsey <kind>' and '# manifest: ...'
+    comment lines, then `body`."""
+    return (f"# coverramsey {kind}\n"
+            f"# manifest: {json.dumps(_manifest(args), sort_keys=True)}\n"
+            + body)
+
+
+def _emit_json(record, path):
     text = json.dumps(record, indent=2, sort_keys=True,
                       ensure_ascii=False) + "\n"
-    _emit_text(text, args)
+    _emit_text(text, path)
 
 
-def _emit_text(text, args):
-    out = getattr(args, "output", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+def _emit_text(text, path):
+    """Write `text` to the file `path`, naming it on stderr, or to stdout
+    when no path is given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"wrote {out}", file=sys.stderr)
+        print(f"wrote {path}", file=sys.stderr)
     else:
         sys.stdout.write(text)
 
 
-def _lower_bound_record(cert, manifest, **extra):
-    """The JSON record of a LowerBoundCertificate; `extra` adds fields."""
-    return {"record": "lower-bound-certificate", "manifest": manifest,
-            **cert._asdict(), **extra}
+def _record(kind, args, **fields):
+    """The JSON record of type `kind` with the run's manifest."""
+    return {"record": kind, "manifest": _manifest(args), **fields}
 
 
 def _fraction_str(frac):
@@ -134,70 +143,56 @@ def _scatter_fields(hg, s, seed, trials, max_attempts):
 
 
 def cmd_gen_design(args):
-    inputs = {}
     design = construct_resolvable_bibd(args.n, args.k)
     report = verify_resolvable_bibd(design)
     if not report.ok():
         raise VerificationFailure(
             f"constructed design failed its own verifier: "
             f"{report.violations[0].detail}")
-    manifest = _manifest(args, inputs)
-    header = f"# coverramsey design\n# manifest: {json.dumps(manifest, sort_keys=True)}\n"
-    _emit_text(header + format_design(design), args)
+    _emit_text(_text_file("design", args, format_design(design)),
+               args.output)
     return EXIT_OK
 
 
 def cmd_check_covering(args):
-    inputs = {}
-    hg = parse_hypergraph(_read(args.host, inputs))
-    record = {
-        "record": "covering-check",
-        "manifest": _manifest(args, inputs),
-        "n": hg.n,
-        "m": hg.num_edges,
-        "covering": hg.is_covering(),
-        "min_codegree": hg.min_codegree(),
-    }
+    hg = parse_hypergraph(_read(args, args.host))
+    record = _record("covering-check", args, n=hg.n, m=hg.num_edges,
+                     covering=hg.is_covering(),
+                     min_codegree=hg.min_codegree())
     if args.format == "structured":
-        _emit_json(record, args)
+        _emit_json(record, args.output)
     else:
         _emit_text(f"covering: {record['covering']} "
                    f"(n={hg.n}, m={hg.num_edges}, "
-                   f"min co-degree {record['min_codegree']})\n", args)
+                   f"min co-degree {record['min_codegree']})\n", args.output)
     return EXIT_OK
 
 
-def _load_host_and_coloring(args, inputs):
-    hg = parse_hypergraph(_read(args.host, inputs))
+def _load_host_and_coloring(args):
+    hg = parse_hypergraph(_read(args, args.host))
     coloring = None
     if getattr(args, "coloring", None) is not None:
-        coloring = parse_coloring(_read(args.coloring, inputs), hg.num_edges)
+        coloring = parse_coloring(_read(args, args.coloring), hg.num_edges)
     return hg, coloring
 
 
 def cmd_find_berge(args):
-    inputs = {}
-    hg, coloring = _load_host_and_coloring(args, inputs)
-    target_text = _read(args.target, inputs)
+    hg, coloring = _load_host_and_coloring(args)
+    target_text = _read(args, args.target)
     target = parse_target(target_text)
     color = args.color
     if (coloring is None) != (color is None):
         raise ValueError("--coloring and --color must be given together")
     cert = find_berge(hg, target, coloring, color)
-    record = {
-        "record": "berge-certificate",
-        "manifest": _manifest(args, inputs),
-        "host_text": format_hypergraph(hg),
-        "target_text": target_text,
-        "color": color,
-        "found": cert is not None,
-    }
+    record = _record("berge-certificate", args,
+                     host_text=format_hypergraph(hg), target_text=target_text,
+                     color=color, found=cert is not None)
     if coloring is not None:
         record["coloring_text"] = format_coloring(coloring)
     if cert is not None:
         record["vertex_map"] = [list(p) for p in cert.vertex_map]
         record["edge_map"] = [list(p) for p in cert.edge_map]
-    _emit_json(record, args)
+    _emit_json(record, args.output)
     return EXIT_OK
 
 
@@ -224,37 +219,30 @@ def _unavoidability(hg, g1, g2, args, bits, jobs):
 
 def cmd_unavoidable(args):
     bits = _shard_bits(args)
-    inputs = {}
-    hg = parse_hypergraph(_read(args.host, inputs))
-    g1_text, g2_text = _read(args.g1, inputs), _read(args.g2, inputs)
+    hg = parse_hypergraph(_read(args, args.host))
+    g1_text, g2_text = _read(args, args.g1), _read(args, args.g2)
     g1, g2 = parse_target(g1_text), parse_target(g2_text)
     result = _unavoidability(hg, g1, g2, args, bits, args.jobs)
-    record = {
-        "record": "unavoidability-result",
-        "manifest": _manifest(args, inputs),
-        "host_text": format_hypergraph(hg),
-        "g1_text": g1_text,
-        "g2_text": g2_text,
-        "verdict": result.verdict,
-        "colorings_examined": result.colorings_examined,
-        "shard": result.shard_spec,
-    }
+    record = _record("unavoidability-result", args,
+                     host_text=format_hypergraph(hg), g1_text=g1_text,
+                     g2_text=g2_text, verdict=result.verdict,
+                     colorings_examined=result.colorings_examined,
+                     shard=result.shard_spec)
     if result.witness is not None:
         record["witness"] = format_coloring(result.witness).strip()
     if args.format == "structured" or args.output:
-        _emit_json(record, args)
+        _emit_json(record, args.output)
     else:
         line = (f"{result.verdict} after {result.colorings_examined} "
                 f"colorings")
         if result.witness is not None:
             line += f"; witness {record['witness']}"
-        _emit_text(line + "\n", args)
+        _emit_text(line + "\n", args.output)
     return EXIT_OK
 
 
 def cmd_mt_lll(args):
-    inputs = {}
-    hg = parse_hypergraph(_read(args.host, inputs))
+    hg = parse_hypergraph(_read(args, args.host))
     run = moser_tardos_coloring(hg, args.t, seed=args.seed,
                                 max_resamples=args.max_resamples)
     if run.coloring is None:
@@ -262,31 +250,21 @@ def cmd_mt_lll(args):
               file=sys.stderr)
         return EXIT_LIMIT
     cert = lower_bound_certificate(hg, run.coloring, args.t)
-    manifest = _manifest(args, inputs, seed=args.seed)
-    record = _lower_bound_record(cert, manifest, resamples=run.resamples)
     if args.coloring_out:
-        header = ("# coverramsey coloring\n"
-                  f"# manifest: {json.dumps(manifest, sort_keys=True)}\n")
-        with open(args.coloring_out, "w", encoding="utf-8") as fh:
-            fh.write(header + cert.coloring_text)
-        print(f"wrote {args.coloring_out}", file=sys.stderr)
-    _emit_json(record, args)
+        _emit_text(_text_file("coloring", args, cert.coloring_text),
+                   args.coloring_out)
+    _emit_json(_record("lower-bound-certificate", args, **cert._asdict(),
+                       resamples=run.resamples), args.output)
     return EXIT_OK
 
 
 def cmd_scatter(args):
-    inputs = {}
-    hg = parse_hypergraph(_read(args.host, inputs))
-    record = {
-        "record": "scatter-sample",
-        "manifest": _manifest(args, inputs, seed=args.seed),
-        "host_text": format_hypergraph(hg),
-        "s": args.s,
-        **_scatter_fields(hg, args.s, args.seed, args.trials,
-                          args.max_attempts),
-    }
-    _emit_json(record, args)
-    if not record["found"]:
+    hg = parse_hypergraph(_read(args, args.host))
+    fields = _scatter_fields(hg, args.s, args.seed, args.trials,
+                             args.max_attempts)
+    _emit_json(_record("scatter-sample", args, host_text=format_hypergraph(hg),
+                       s=args.s, **fields), args.output)
+    if not fields["found"]:
         print(f"no scattered subset within {args.max_attempts} attempts",
               file=sys.stderr)
         return EXIT_LIMIT
@@ -294,57 +272,56 @@ def cmd_scatter(args):
 
 
 def cmd_reduce_product(args):
-    inputs = {}
-    hg, coloring = _load_host_and_coloring(args, inputs)
-    record = {
-        "record": "product-reduction",
-        "manifest": _manifest(args, inputs),
-        "host_text": format_hypergraph(hg),
-        "coloring_text": format_coloring(coloring),
-        **_product_fields(hg, coloring),
-    }
-    _emit_json(record, args)
+    hg, coloring = _load_host_and_coloring(args)
+    _emit_json(_record("product-reduction", args,
+                       host_text=format_hypergraph(hg),
+                       coloring_text=format_coloring(coloring),
+                       **_product_fields(hg, coloring)), args.output)
     return EXIT_OK
 
 
-def cmd_bound(args):
+def _bound_report(args):
+    """The BoundReport of a `bound` command line; the number of integer
+    arguments is checked first."""
     needed = {"thm1": 2, "lll": 3, "lll-threshold": 2, "asym": 1}[args.formula]
     given = [v for v in (args.a, args.b, args.c) if v is not None]
     if len(given) != needed:
         raise ValueError(f"bound {args.formula} takes {needed} integer "
                          f"argument(s), got {len(given)}")
     if args.formula == "thm1":
-        report = thm1_upper_bound(args.a, args.b)
-    elif args.formula == "lll":
-        report = lll_inequality_holds(args.a, args.b, args.c)
-    elif args.formula == "lll-threshold":
-        report = lll_threshold_n(args.a, args.b, admissible=args.admissible)
-    else:
-        report = asymptotic_lower(args.a)
-    if args.format == "structured":
-        value = report.value
-        record = {
-            "record": "bound-report",
-            "manifest": _manifest(args, {}),
-            "formula_id": report.formula_id,
-            "inputs": report.inputs,
+        return thm1_upper_bound(args.a, args.b)
+    if args.formula == "lll":
+        return lll_inequality_holds(args.a, args.b, args.c)
+    if args.formula == "lll-threshold":
+        return lll_threshold_n(args.a, args.b, admissible=args.admissible)
+    return asymptotic_lower(args.a)
+
+
+def _bound_fields(report):
+    """The bound-report fields of a BoundReport; a Fraction value as
+    "p/q"."""
+    value = report.value
+    return {"formula_id": report.formula_id, "inputs": report.inputs,
             "value": (_fraction_str(value) if isinstance(value, Fraction)
                       else value),
-            "satisfied": report.satisfied,
-            "notes": list(report.notes),
-        }
-        _emit_json(record, args)
+            "satisfied": report.satisfied, "notes": list(report.notes)}
+
+
+def cmd_bound(args):
+    report = _bound_report(args)
+    if args.format == "structured":
+        _emit_json(_record("bound-report", args, **_bound_fields(report)),
+                   args.output)
     else:
-        _emit_text(report.render(), args)
+        _emit_text(report.render(), args.output)
     return EXIT_OK
 
 
 def cmd_certify_lower(args):
-    inputs = {}
-    hg, coloring = _load_host_and_coloring(args, inputs)
+    hg, coloring = _load_host_and_coloring(args)
     cert = lower_bound_certificate(hg, coloring, args.t)
-    record = _lower_bound_record(cert, _manifest(args, inputs))
-    _emit_json(record, args)
+    _emit_json(_record("lower-bound-certificate", args, **cert._asdict()),
+               args.output)
     print(cert.statement, file=sys.stderr)
     return EXIT_OK
 
@@ -354,10 +331,12 @@ def cmd_certify_lower(args):
 
 def _mismatch(record, recomputed):
     """A message naming the first field of `recomputed` whose recorded
-    value differs, or None.  Values are compared as JSON, so 5.0 or true
-    does not pass for 5 or 1.  Long values are abbreviated."""
+    value differs, or None.  Values are compared as JSON with sorted keys,
+    as records are written, so 5.0 or true does not pass for 5 or 1.  Long
+    values are abbreviated."""
     for field, value in recomputed.items():
-        if json.dumps(record[field]) != json.dumps(value):
+        if (json.dumps(record[field], sort_keys=True)
+                != json.dumps(value, sort_keys=True)):
             return (f"{field} mismatch: recomputed {reprlib.repr(value)}, "
                     f"recorded {reprlib.repr(record[field])}")
     return None
@@ -366,19 +345,23 @@ def _mismatch(record, recomputed):
 def _verify_berge_record(record):
     hg = parse_hypergraph(record["host_text"])
     target = parse_target(record["target_text"])
-    if (record.get("color") is None) != ("coloring_text" not in record):
+    color = record.get("color")
+    if (color is None) != ("coloring_text" not in record):
         raise ValueError("malformed berge-certificate record: 'color' and "
                          "'coloring_text' must be given together")
-    if not record.get("found"):
-        return True, "record claims absence; nothing to re-verify"
-    cert = BergeCertificate(
-        tuple(tuple(p) for p in record["vertex_map"]),
-        tuple(tuple(p) for p in record["edge_map"]))
     coloring = None
     if "coloring_text" in record:
         coloring = parse_coloring(record["coloring_text"], hg.num_edges)
-    result = verify_certificate(hg, target, cert, coloring,
-                                record.get("color"))
+    if not record.get("found"):
+        # an absence claim is checked by running the recorded search again
+        if find_berge(hg, target, coloring, color) is not None:
+            return False, ("absence claim refuted: the recorded search "
+                           "finds a copy")
+        return True, "absence re-verified: the recorded search finds no copy"
+    cert = BergeCertificate(
+        tuple(tuple(p) for p in record["vertex_map"]),
+        tuple(tuple(p) for p in record["edge_map"]))
+    result = verify_certificate(hg, target, cert, coloring, color)
     return bool(result), result.reason or "certificate verifies"
 
 
@@ -444,7 +427,7 @@ def _recorded_args(record, command):
     if args is None or args.command != command:
         raise ValueError(f"malformed {record['record']} record: argv "
                          f"{reprlib.repr(argv)} is not a {command} command")
-    seed, want = record["manifest"]["seed"], getattr(args, "seed", None)
+    seed, want = record["manifest"]["seed"], _seed(args)
     if seed is not want and (type(seed) is not int or seed != want):
         wanted = ("null, as the command takes no --seed" if want is None
                   else f"the argv's --seed {want}")
@@ -477,7 +460,8 @@ def _verify_scatter_record(record):
     if problem:
         return False, problem
     if not record["found"]:
-        return True, "record claims absence; nothing to re-verify"
+        return True, (f"absence re-derived: no scattered subset within "
+                      f"{args.max_attempts} attempts")
     return True, "subset is scattered"
 
 
@@ -487,6 +471,17 @@ def _verify_product_record(record):
     problem = _mismatch(record, _product_fields(hg, coloring))
     return (not problem,
             problem or "reduction reproduces from host and coloring")
+
+
+def _verify_bound_record(record):
+    args = _recorded_args(record, "bound")
+    problem = _mismatch(record, _bound_fields(_bound_report(args)))
+    return not problem, problem or "bound re-derived from the recorded argv"
+
+
+def _verify_covering_record(record):
+    raise ValueError("covering-check records embed no host, so they cannot "
+                     "be re-checked")
 
 
 def _json_record(text):
@@ -506,8 +501,7 @@ def _json_record(text):
 
 
 def cmd_verify(args):
-    inputs = {}
-    text = _read(args.file, inputs)
+    text = _read(args, args.file)
     # dispatch on the first line that is neither blank nor a '#' comment
     first = _first_content_row(text) or ""
     if first.lstrip().startswith("{"):
@@ -519,6 +513,8 @@ def cmd_verify(args):
             "unavoidability-result": _verify_unavoidability_record,
             "scatter-sample": _verify_scatter_record,
             "product-reduction": _verify_product_record,
+            "bound-report": _verify_bound_record,
+            "covering-check": _verify_covering_record,
         }
         try:
             if kind not in handlers:
@@ -652,6 +648,7 @@ def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     args._argv = argv
+    args._inputs = {}
     start = time.monotonic()
     try:
         code = globals()["cmd_" + args.command.replace("-", "_")](args)

@@ -28,14 +28,12 @@ Anything else raises UnsupportedParametersError; the verifier accepts
 arbitrary candidate designs.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from itertools import chain, combinations, repeat
 from math import comb, isqrt
 
-from .hypergraph import (Hypergraph, _canonical, _content_rows, _header,
-                         _ints)
+from .hypergraph import (Hypergraph, _canonical, _content_rows,
+                         _format_rows, _header, _int_rows)
 
 PARTITION_FAIL = "PARTITION_FAIL"
 PAIR_COUNT_FAIL = "PAIR_COUNT_FAIL"
@@ -353,21 +351,18 @@ def construct_resolvable_bibd(n, k):
 
 
 def format_design(design):
-    row = {k: " ".join(["%s"] * k)  # per block size
-           for k in set(map(len, design.blocks()))}
     lines = [f"{design.n} {design.k} {design.num_classes}"]
     for ci, cls in enumerate(design.classes):
         if ci:
             lines.append("%")
-        lines.extend(map(str.__mod__, map(row.__getitem__, map(len, cls)),
-                         cls))
+        lines.extend(_format_rows(cls))
     return "\n".join(lines) + "\n"
 
 
 def parse_design(text):
     """The design of a design text.  The body is cut at its '%' rows once
-    and each class's rows are converted as one list; a row that is not
-    all integers is named in file order, before the class count is
+    and each class's rows are converted by `_int_rows`, so a row that is
+    not all integers is named in file order, before the class count is
     checked."""
     rows = _content_rows(text)
     if not rows:
@@ -379,16 +374,8 @@ def parse_design(text):
     for _ in range(stripped.count("%")):
         cuts.append(stripped.index("%", cuts[-1] + 1))
     cuts.append(len(body))
-    try:
-        classes = tuple(
-            tuple(map(tuple, map(map, repeat(int),
-                                 map(str.split, body[a + 1:b]))))
-            for a, b in zip(cuts, cuts[1:]))
-    except ValueError:
-        for row, cell in zip(body, stripped):
-            if cell != "%":
-                _ints(row)  # raises for the first row with a non-integer
-        raise
+    classes = tuple(tuple(_int_rows(body[a + 1:b]))
+                    for a, b in zip(cuts, cuts[1:]))
     if len(classes) != m:
         raise ValueError(f"expected {m} classes, found {len(classes)}")
     return ResolvableDesign(n, k, classes)

@@ -8,8 +8,6 @@ serialization are deterministic.  A simple graph, such as a 2-shadow or a
 Berge target, is a Hypergraph with uniformity {2}.
 """
 
-from __future__ import annotations
-
 from itertools import chain, combinations, repeat
 from operator import lt
 
@@ -290,6 +288,24 @@ def _header(row, fields):
     return values
 
 
+def _int_rows(rows):
+    """The integer tuples of edge or block rows, as a list in row order;
+    the first row that is not all integers is named (`_ints`)."""
+    try:
+        return list(map(tuple, map(map, repeat(int), map(str.split, rows))))
+    except ValueError:
+        for row in rows:
+            _ints(row)  # raises for the first row with a non-integer
+        raise
+
+
+def _format_rows(rows):
+    """An iterator over the lines of integer rows, entries separated by
+    single spaces, from one '%s' format per row size."""
+    row = {k: " ".join(["%s"] * k) for k in set(map(len, rows))}
+    return map(str.__mod__, map(row.__getitem__, map(len, rows)), rows)
+
+
 def _read_edge_list(text, what):
     """(n, edge tuples) of an "<n> <m>" header and its m edge lines, in
     file order; `what` names the file kind in error messages."""
@@ -299,20 +315,12 @@ def _read_edge_list(text, what):
     n, m = _header(rows[0], "<n> <m>")
     if len(rows) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(rows) - 1}")
-    try:
-        return n, list(map(tuple, map(map, repeat(int),
-                                      map(str.split, rows[1:]))))
-    except ValueError:
-        for row in rows[1:]:
-            _ints(row)  # raises for the first row with a non-integer
-        raise
+    return n, _int_rows(rows[1:])
 
 
 def format_hypergraph(hg):
-    row = {k: " ".join(["%s"] * k) for k in hg.uniformity}  # per edge size
     lines = [f"{hg.n} {hg.num_edges}"]
-    lines.extend(map(str.__mod__, map(row.__getitem__, map(len, hg.edges)),
-                     hg.edges))
+    lines.extend(_format_rows(hg.edges))
     return "\n".join(lines) + "\n"
 
 

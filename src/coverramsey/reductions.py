@@ -12,8 +12,6 @@ also lift, because two pairs inside one hyperedge always carry different
 labels.
 """
 
-from __future__ import annotations
-
 import random
 from collections import namedtuple
 from fractions import Fraction
@@ -32,6 +30,11 @@ class ScatterSample(namedtuple("ScatterSample", "subset attempts seed")):
     __slots__ = ()
 
 
+def _check_subset_size(n, s):
+    if not 0 <= s <= n:
+        raise ValueError(f"subset size {s} outside 0..{n}")
+
+
 def _draws(hg, s, seed):
     """The seeded stream of draws that the sampler and the trial counter
     read: each draw is (a uniform s-subset, sorted, whether every
@@ -39,8 +42,7 @@ def _draws(hg, s, seed):
     checked here, before any draw is taken."""
     if not hg.is_covering():
         raise ValueError("host must be covering")
-    if not 0 <= s <= hg.n:
-        raise ValueError(f"subset size {s} outside 0..{hg.n}")
+    _check_subset_size(hg.n, s)
     rng = random.Random(seed)
     triples = {t for edge in hg.edges for t in combinations(edge, 3)}
 
@@ -79,9 +81,11 @@ def scatter_rejection_trials(hg, s, trials, seed=0):
 
 def scatter_failure_bound(n, s, k):
     """Union bound 3 C(k,3) C(s,3) / (n-2) on the probability that some
-    hyperedge meets a uniform s-subset in 3+ points, as an exact rational."""
+    hyperedge meets a uniform s-subset in 3+ points, as an exact rational;
+    s must lie in 0..n."""
     if n < 3:
         raise ValueError("requires n >= 3")
+    _check_subset_size(n, s)
     return Fraction(3 * comb(k, 3) * comb(s, 3), n - 2)
 
 

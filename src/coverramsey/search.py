@@ -5,8 +5,6 @@ Moser-Tardos resampler that constructs good colorings, and verified
 lower-bound certificates.
 """
 
-from __future__ import annotations
-
 import random
 from collections import namedtuple
 from contextlib import ExitStack

@@ -7,7 +7,8 @@ enumerated directly.
 import random
 from itertools import combinations, permutations
 
-from coverramsey import EdgeColoring, Hypergraph
+from coverramsey import (EdgeColoring, Hypergraph, ResolvableDesign,
+                         construct_resolvable_bibd)
 
 FANO_LINES = ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7),
               (3, 4, 7), (3, 5, 6))
@@ -112,6 +113,20 @@ def random_covering_hypergraph(rng, n, k=3, extra=4, mixed=False):
         edges.add(e)
         covered.update(combinations(e, 2))
     return Hypergraph(n, edges)
+
+
+def random_design(rng):
+    """A resolvable design of a small supported (n, k), its points
+    relabelled by a random permutation and the blocks of each class
+    shuffled; every block stays ascending."""
+    n, k = rng.choice(((4, 2), (8, 2), (9, 3), (15, 3), (16, 4), (25, 5)))
+    label = [0] + rng.sample(range(1, n + 1), n)
+    classes = []
+    for cls in construct_resolvable_bibd(n, k).classes:
+        blocks = [tuple(sorted(label[p] for p in blk)) for blk in cls]
+        rng.shuffle(blocks)
+        classes.append(tuple(blocks))
+    return ResolvableDesign(n, k, tuple(classes))
 
 
 def random_coloring(rng, hg):

@@ -140,6 +140,43 @@ class TestFindBerge:
             "error: malformed berge-certificate record: 'color' and "
             "'coloring_text' must be given together"]
 
+    @pytest.mark.parametrize("host,coloring", [
+        ("k4", None), ("fano", None), ("fano", "fano_blue")])
+    def test_forged_absence_exit_3(self, files, capsys, host, coloring):
+        # K3 is in K4 (the K4 target file read as a host) and in Fano's
+        # all-blue class
+        colored = () if coloring is None else (
+            "--coloring", files[coloring], "--color", "0")
+        out = files["dir"] / "cert.json"
+        assert run("find-berge", files[host], files["k3"], *colored,
+                   "-o", out) == 0
+        record = json.loads(out.read_text())
+        assert record["found"] is True
+        record["found"] = False
+        del record["vertex_map"], record["edge_map"]
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 3
+        assert capsys.readouterr().out == (
+            "absence claim refuted: the recorded search finds a copy\n")
+
+    @pytest.mark.parametrize("target,colored", [
+        ("k5", ()), ("k3", ("--coloring", "mix", "--color", "1"))])
+    def test_genuine_absence_verifies(self, files, capsys, target, colored):
+        k5 = files["dir"] / "k5t.g"
+        k5.write_text(format_hypergraph(complete_graph(5)))
+        mix = files["dir"] / "mix.col"
+        mix.write_text("0101010\n")  # color 1: the lines through vertex 4
+        paths = {"k5": k5, "k3": files["k3"], "mix": mix}
+        out = files["dir"] / "cert.json"
+        assert run("find-berge", files["fano"], paths[target],
+                   *(paths.get(a, a) for a in colored), "-o", out) == 0
+        assert json.loads(out.read_text())["found"] is False
+        capsys.readouterr()
+        assert run("verify", out) == 0
+        assert capsys.readouterr().out == (
+            "absence re-verified: the recorded search finds no copy\n")
+
 
 class TestUnavoidable:
     def test_k5_avoidable(self, files, capsys):
@@ -576,10 +613,34 @@ class TestScatter:
         assert run("scatter", files["fano"], "99", *extra) == 1
         assert error_lines(capsys) == ["error: subset size 99 outside 0..7"]
 
+    @pytest.mark.parametrize("extra", [[], ["--trials", "5"]])
+    def test_negative_subset_size_exit_1(self, files, capsys, extra):
+        assert run("scatter", files["fano"], "-1", *extra) == 1
+        assert error_lines(capsys) == ["error: subset size -1 outside 0..7"]
+
+    def test_negative_subset_size_in_a_record_exit_1(self, files, capsys):
+        out = files["dir"] / "scatter.json"
+        assert run("scatter", files["fano"], "3", "-o", out) == 0
+        record = json.loads(out.read_text())
+        record["s"] = -1
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 1
+        assert error_lines(capsys) == ["error: subset size -1 outside 0..7"]
+
     def test_record_verifies(self, files, capsys):
         out = files["dir"] / "scatter.json"
         assert run("scatter", files["fano"], "3", "-o", out) == 0
         assert run("verify", out) == 0
+
+    def test_absence_is_re_derived(self, files, capsys):
+        out = files["dir"] / "scatter.json"
+        assert run("scatter", files["fano"], "7", "--max-attempts", "40",
+                   "-o", out) == 2
+        capsys.readouterr()
+        assert run("verify", out) == 0
+        assert capsys.readouterr().out == (
+            "absence re-derived: no scattered subset within 40 attempts\n")
 
     def test_default_max_attempts_is_the_library_default(self):
         args = build_parser().parse_args(["scatter", "h", "3"])
@@ -721,6 +782,13 @@ class TestReduceProduct:
         assert capsys.readouterr().out.startswith(f"{field} mismatch: ")
 
 
+# a command line for each formula, with both lll verdicts
+BOUND_ARGVS = [["thm1", "3", "6"], ["lll", "10", "4", "3"],
+               ["lll", "20", "10", "3"],
+               ["lll-threshold", "12", "3", "--admissible"],
+               ["lll-threshold", "12", "3"], ["asym", "20"]]
+
+
 class TestBound:
     def test_thm1_text(self, files, capsys):
         assert run("bound", "thm1", "3", "6") == 0
@@ -752,6 +820,106 @@ class TestBound:
 
     def test_no_valid_n_exit_1(self, files):
         assert run("bound", "lll-threshold", "3", "2") == 1
+
+    @pytest.mark.parametrize("argv", BOUND_ARGVS)
+    def test_record_verifies(self, files, capsys, argv):
+        out = files["dir"] / "bound.json"
+        assert run("bound", *argv, "--format", "structured", "-o", out) == 0
+        capsys.readouterr()
+        assert run("verify", out) == 0
+        assert capsys.readouterr().out == (
+            "bound re-derived from the recorded argv\n")
+
+    @pytest.mark.parametrize("argv,field,value,message", [
+        (["thm1", "3", "6"], "value", 487,
+         "value mismatch: recomputed 486, recorded 487"),
+        (["lll", "20", "10", "3"], "satisfied", False,
+         "satisfied mismatch: recomputed True, recorded False"),
+        (["lll", "10", "4", "3"], "satisfied", True,
+         "satisfied mismatch: recomputed False, recorded True"),
+        (["lll-threshold", "12", "3", "--admissible"], "value", 99,
+         None),
+        (["asym", "20"], "value", 10654.0, None),
+        (["thm1", "3", "6"], "formula_id", "lll", None),
+        (["lll", "10", "4", "3"], "inputs", {"n": 10}, None),
+        (["asym", "20"], "notes", [], None),
+    ])
+    def test_forged_field_exit_3(self, files, capsys, argv, field, value,
+                                 message):
+        out = files["dir"] / "bound.json"
+        assert run("bound", *argv, "--format", "structured", "-o", out) == 0
+        record = json.loads(out.read_text())
+        record[field] = value
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 3
+        printed = capsys.readouterr().out
+        assert printed.startswith(f"{field} mismatch: recomputed ")
+        if message is not None:
+            assert printed == message + "\n"
+
+    def test_record_of_another_command_is_malformed(self, files, capsys):
+        out = files["dir"] / "bound.json"
+        assert run("bound", "thm1", "3", "6", "--format", "structured",
+                   "-o", out) == 0
+        record = json.loads(out.read_text())
+        record["manifest"]["argv"] = ["scatter", "fano.hg", "3"]
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 1
+        assert error_lines(capsys) == [
+            "error: malformed bound-report record: argv ['scatter', "
+            "'fano.hg', '3'] is not a bound command"]
+
+
+class TestEveryRecordVerifies:
+    """Each JSON record a command line writes is one `verify` re-checks."""
+
+    @pytest.fixture()
+    def d9(self, files):
+        path = files["dir"] / "d9.hg"
+        path.write_text(format_hypergraph(
+            design_to_hypergraph(construct_resolvable_bibd(9, 3))))
+        return path
+
+    def test_every_record_verifies(self, files, capsys, d9):
+        k5 = files["dir"] / "k5t.g"
+        k5.write_text(format_hypergraph(complete_graph(5)))
+        col = files["dir"] / "d9.col"
+        paths = {**files, "d9": d9, "k5t": k5, "d9col": col}
+        argvs = [
+            ["find-berge", "{fano}", "{k4}"],
+            ["find-berge", "{fano}", "{k5t}"],
+            ["find-berge", "{fano}", "{k3}", "--coloring", "{fano_blue}",
+             "--color", "0"],
+            ["find-berge", "{fano}", "{k3}", "--coloring", "{fano_blue}",
+             "--color", "1"],
+            ["unavoidable", "{fano}", "{k3}", "{k3}"],
+            ["unavoidable", "{k5}", "{k3}", "{k3}", "--shard-bits", "1"],
+            ["mt-lll", "{d9}", "3", "--coloring-out", "{d9col}"],
+            ["certify-lower", "{d9}", "{d9col}", "3"],
+            ["scatter", "{fano}", "3", "--trials", "20"],
+            ["scatter", "{d9}", "9", "--max-attempts", "5"],
+            ["reduce-product", "{fano}", "{fano_blue}"],
+        ] + [["bound", *argv, "--format", "structured"]
+             for argv in BOUND_ARGVS]
+        for i, argv in enumerate(argvs):
+            out = files["dir"] / f"rec{i}.json"
+            assert run(*(a.format(**paths) for a in argv),
+                       "-o", out) in (0, 2), argv
+            capsys.readouterr()
+            assert run("verify", out) == 0, (argv, capsys.readouterr())
+
+    def test_covering_check_record_cannot_be_re_checked(self, files,
+                                                        capsys):
+        out = files["dir"] / "cover.json"
+        assert run("check-covering", files["fano"], "--format",
+                   "structured", "-o", out) == 0
+        capsys.readouterr()
+        assert run("verify", out) == 1
+        assert error_lines(capsys) == [
+            "error: covering-check records embed no host, so they cannot "
+            "be re-checked"]
 
 
 class TestVerifyDispatch:

@@ -102,6 +102,12 @@ class TestScatterFailureBound:
         assert value == Fraction(60, 484) == Fraction(15, 121)
         assert value < 1
 
+    @pytest.mark.parametrize("s", [-1, 8])
+    def test_subset_size_outside_the_vertices(self, s):
+        with pytest.raises(ValueError) as exc:
+            scatter_failure_bound(7, s, 3)
+        assert str(exc.value) == f"subset size {s} outside 0..7"
+
     def test_empirical_rate_below_bound_on_fano(self):
         # true rejection rate is 7/35 = 0.2; bound is 3/5
         rejected, trials = scatter_rejection_trials(fano(), 3, 2000, seed=0)
