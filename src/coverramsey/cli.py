@@ -119,6 +119,12 @@ def _product_fields(hg, coloring):
             "provenance": provenance}
 
 
+def _covering_fields(hg):
+    """The covering-check fields fixed by the host."""
+    return {"n": hg.n, "m": hg.num_edges, "covering": hg.is_covering(),
+            "min_codegree": hg.min_codegree()}
+
+
 def _scatter_fields(hg, s, seed, trials, max_attempts):
     """The scatter-sample fields fixed by the host, `s`, the seed, the
     trial count and the attempt limit; the trial fields only when `trials`
@@ -156,15 +162,15 @@ def cmd_gen_design(args):
 
 def cmd_check_covering(args):
     hg = parse_hypergraph(_read(args, args.host))
-    record = _record("covering-check", args, n=hg.n, m=hg.num_edges,
-                     covering=hg.is_covering(),
-                     min_codegree=hg.min_codegree())
+    fields = _covering_fields(hg)
     if args.format == "structured":
-        _emit_json(record, args.output)
+        _emit_json(_record("covering-check", args,
+                           host_text=format_hypergraph(hg), **fields),
+                   args.output)
     else:
-        _emit_text(f"covering: {record['covering']} "
+        _emit_text(f"covering: {fields['covering']} "
                    f"(n={hg.n}, m={hg.num_edges}, "
-                   f"min co-degree {record['min_codegree']})\n", args.output)
+                   f"min co-degree {fields['min_codegree']})\n", args.output)
     return EXIT_OK
 
 
@@ -480,8 +486,9 @@ def _verify_bound_record(record):
 
 
 def _verify_covering_record(record):
-    raise ValueError("covering-check records embed no host, so they cannot "
-                     "be re-checked")
+    hg = parse_hypergraph(record["host_text"])
+    problem = _mismatch(record, _covering_fields(hg))
+    return not problem, problem or "covering check reproduces from host"
 
 
 def _json_record(text):
@@ -523,6 +530,10 @@ def cmd_verify(args):
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed {kind} record: {exc!r}") from exc
     else:
+        if text.startswith("# coverramsey coloring\n"):
+            raise ValueError(f"{args.file} is a coloring sidecar, which "
+                             f"holds no claim; verify the mt-lll or "
+                             f"certify-lower record instead")
         head = first.split()
         if len(head) == 3:
             design = parse_design(text)

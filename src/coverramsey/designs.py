@@ -51,12 +51,6 @@ class ResolvableDesign(namedtuple("ResolvableDesign", "n k classes")):
 
     __slots__ = ()
 
-    @classmethod
-    def from_lists(cls, n, k, classes):
-        return cls(int(n), int(k),
-                   tuple(tuple(tuple(int(p) for p in blk) for blk in c)
-                         for c in classes))
-
     @property
     def num_classes(self):
         return len(self.classes)

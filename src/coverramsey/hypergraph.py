@@ -20,7 +20,7 @@ class Hypergraph:
     share across threads.
     """
 
-    __slots__ = ("n", "edges", "uniformity", "_pair_edges", "_hash")
+    __slots__ = ("n", "edges", "uniformity", "_pair_edges")
 
     def __init__(self, n, edges, uniformity=None):
         if n < 0:
@@ -49,7 +49,6 @@ class Hypergraph:
         object.__setattr__(self, "edges", tuple(canon))
         object.__setattr__(self, "uniformity", uniformity)
         object.__setattr__(self, "_pair_edges", None)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Hypergraph is immutable")
@@ -64,10 +63,7 @@ class Hypergraph:
                 and self.uniformity == other.uniformity)
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(
-                self, "_hash", hash((self.n, self.edges, self.uniformity)))
-        return self._hash
+        return hash((self.n, self.edges, self.uniformity))
 
     def __repr__(self):
         return (f"Hypergraph(n={self.n}, m={len(self.edges)}, "

@@ -7,7 +7,7 @@ lower-bound certificates.
 
 import random
 from collections import namedtuple
-from contextlib import ExitStack
+from functools import partial
 
 from .berge import (BergeSearch, complete_graph, contains_mono_berge,
                     lift_embedding)
@@ -133,23 +133,22 @@ def unavoidable_sharded(hg, g1, g2, bits, limit=DEFAULT_COLORING_LIMIT,
     prefixes = shard_prefixes(min(bits, hg.num_edges))
     if g1 == g2:
         prefixes = [p or None for p in prefixes if not p.startswith("1")]
+    run = partial(unavoidable, hg, g1, g2, limit=limit)
+    pool = None
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=jobs)
     examined = 0
-    with ExitStack() as stack:
-        if jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
-            futures = [pool.submit(unavoidable, hg, g1, g2, p, limit)
-                       for p in prefixes]
-            # runs before the pool's shutdown waits on the workers
-            stack.callback(lambda: [fut.cancel() for fut in futures])
-            results = (fut.result() for fut in futures)
-        else:
-            results = (unavoidable(hg, g1, g2, p, limit) for p in prefixes)
-        for r in results:
+    try:
+        for r in pool.map(run, prefixes) if pool else map(run, prefixes):
             examined += r.colorings_examined
             if r.verdict == AVOIDABLE:
                 return UnavoidabilityResult(AVOIDABLE, r.witness, examined,
                                             f"merged[{bits}]")
+    finally:
+        if pool is not None:
+            # pending shards are cancelled and running ones awaited
+            pool.shutdown(cancel_futures=True)
     return UnavoidabilityResult(UNAVOIDABLE, None, examined,
                                 f"merged[{bits}]")
 

@@ -115,6 +115,14 @@ def random_covering_hypergraph(rng, n, k=3, extra=4, mixed=False):
     return Hypergraph(n, edges)
 
 
+def design_from_lists(n, k, classes):
+    """The ResolvableDesign of `classes` given as lists of point lists,
+    unchecked, so that tests can build broken designs."""
+    return ResolvableDesign(
+        int(n), int(k), tuple(tuple(tuple(int(p) for p in blk) for blk in c)
+                              for c in classes))
+
+
 def random_design(rng):
     """A resolvable design of a small supported (n, k), its points
     relabelled by a random permutation and the blocks of each class

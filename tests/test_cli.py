@@ -458,6 +458,35 @@ class TestMtLllAndCertify:
         err = error_lines(capsys)
         assert len(err) == 1 and err[0].startswith("error: cannot read ")
 
+    @pytest.fixture()
+    def d21(self, files):
+        path = files["dir"] / "d21.hg"
+        path.write_text(format_hypergraph(
+            design_to_hypergraph(construct_resolvable_bibd(21, 3))))
+        return path
+
+    def test_no_coloring_within_the_resample_limit_exit_2(self, files,
+                                                          capsys, d21):
+        out = files["dir"] / "lb.json"
+        assert run("mt-lll", d21, "5", "--seed", "0", "--max-resamples", "0",
+                   "-o", out) == 2
+        assert "no good coloring within 0 resamples\n" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_all_blue_certify_lower_record_exit_3(self, files, capsys,
+                                                  d21):
+        col, out = files["dir"] / "d21.col", files["dir"] / "lb.json"
+        assert run("mt-lll", d21, "5", "--coloring-out", col) == 0
+        assert run("certify-lower", d21, col, "5", "-o", out) == 0
+        record = json.loads(out.read_text())
+        record["coloring_text"] = "0" * 70 + "\n"
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 3
+        assert capsys.readouterr().out == (
+            "monochromatic Berge-K_5 on (1, 2, 3, 6, 8) in color 0\n")
+
     def test_certify_lower_rejects_bad_coloring_exit_3(self, files):
         col = files["dir"] / "allblue.col"
         col.write_text("0" * 15 + "\n")
@@ -642,6 +671,17 @@ class TestScatter:
         assert capsys.readouterr().out == (
             "absence re-derived: no scattered subset within 40 attempts\n")
 
+    def test_subset_holding_a_block_exit_3(self, files, capsys):
+        out = files["dir"] / "scatter.json"
+        assert run("scatter", files["fano"], "3", "-o", out) == 0
+        record = json.loads(out.read_text())
+        record["subset"] = [1, 2, 3]
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 3
+        assert capsys.readouterr().out == (
+            "some hyperedge meets the subset in 3 vertices\n")
+
     def test_default_max_attempts_is_the_library_default(self):
         args = build_parser().parse_args(["scatter", "h", "3"])
         assert args.max_attempts == DEFAULT_MAX_ATTEMPTS
@@ -821,6 +861,14 @@ class TestBound:
     def test_no_valid_n_exit_1(self, files):
         assert run("bound", "lll-threshold", "3", "2") == 1
 
+    @pytest.mark.parametrize("argv,message", [
+        (["5", "3", "--admissible"], "no admissible n in [t, 6] for t=5, k=3"),
+        (["2", "3"], "requires t >= 3 and k >= 2")])
+    def test_threshold_outside_its_range_exit_1(self, files, capsys, argv,
+                                                message):
+        assert run("bound", "lll-threshold", *argv) == 1
+        assert error_lines(capsys) == [f"error: {message}"]
+
     @pytest.mark.parametrize("argv", BOUND_ARGVS)
     def test_record_verifies(self, files, capsys, argv):
         out = files["dir"] / "bound.json"
@@ -901,6 +949,7 @@ class TestEveryRecordVerifies:
             ["scatter", "{fano}", "3", "--trials", "20"],
             ["scatter", "{d9}", "9", "--max-attempts", "5"],
             ["reduce-product", "{fano}", "{fano_blue}"],
+            ["check-covering", "{d9}", "--format", "structured"],
         ] + [["bound", *argv, "--format", "structured"]
              for argv in BOUND_ARGVS]
         for i, argv in enumerate(argvs):
@@ -910,16 +959,23 @@ class TestEveryRecordVerifies:
             capsys.readouterr()
             assert run("verify", out) == 0, (argv, capsys.readouterr())
 
-    def test_covering_check_record_cannot_be_re_checked(self, files,
-                                                        capsys):
+    def test_covering_check_record_is_re_derived(self, files, capsys):
         out = files["dir"] / "cover.json"
         assert run("check-covering", files["fano"], "--format",
                    "structured", "-o", out) == 0
+        record = json.loads(out.read_text())
         capsys.readouterr()
-        assert run("verify", out) == 1
-        assert error_lines(capsys) == [
-            "error: covering-check records embed no host, so they cannot "
-            "be re-checked"]
+        assert run("verify", out) == 0
+        assert capsys.readouterr().out == (
+            "covering check reproduces from host\n")
+        for field, value, recomputed in [("covering", False, True),
+                                         ("min_codegree", 2, 1),
+                                         ("min_codegree", True, 1)]:
+            out.write_text(json.dumps({**record, field: value}))
+            assert run("verify", out) == 3
+            assert capsys.readouterr().out == (
+                f"{field} mismatch: recomputed {recomputed}, "
+                f"recorded {value}\n")
 
 
 class TestVerifyDispatch:
@@ -962,6 +1018,29 @@ class TestVerifyDispatch:
             "error: line 2 is a '#' comment ('# header'); a JSON record "
             "cannot hold comment lines"]
 
+    def test_coloring_sidecar_is_named(self, files, capsys):
+        col = files["dir"] / "mt.col"
+        assert run("mt-lll", files["fano"], "4", "--coloring-out", col) == 0
+        capsys.readouterr()
+        assert run("verify", col) == 1
+        assert error_lines(capsys) == [
+            f"error: {col} is a coloring sidecar, which holds no claim; "
+            f"verify the mt-lll or certify-lower record instead"]
+
+    def test_empty_file_exit_1(self, files, capsys):
+        empty = files["dir"] / "empty"
+        empty.write_text("")
+        assert run("verify", empty) == 1
+        assert error_lines(capsys) == ["error: unrecognized file type"]
+
+    def test_cut_record_exit_1(self, files, capsys):
+        out = files["dir"] / "rec.json"
+        assert run("find-berge", files["fano"], files["k3"], "-o", out) == 0
+        out.write_text(out.read_text()[:40])
+        capsys.readouterr()
+        assert run("verify", out) == 1
+        assert len(error_lines(capsys)) == 1
+
     def test_unknown_record_type(self, files):
         bad = files["dir"] / "bad.json"
         bad.write_text('{"record": "mystery"}\n')
@@ -996,6 +1075,37 @@ class TestVerifyDispatch:
         bad = files["dir"] / "torn.json"
         bad.write_text('{"record": "berge-certificate"}\n')
         assert run("verify", bad) == 1
+
+    @pytest.mark.parametrize("argv,field", [
+        *[(["find-berge", "{fano}", "{k3}", "--coloring", "{fano_blue}",
+            "--color", "0"], field)
+          for field in ("host_text", "target_text", "coloring_text",
+                        "color")],
+        *[(["unavoidable", "{k5}", "{k3}", "{k3}"], field)
+          for field in ("host_text", "g1_text", "g2_text", "witness")],
+        *[(argv, field)
+          for argv in (["mt-lll", "{fano}", "4"],
+                       ["certify-lower", "{k5}", "{pentagon}", "3"],
+                       ["reduce-product", "{fano}", "{fano_blue}"])
+          for field in ("host_text", "coloring_text")],
+        (["scatter", "{fano}", "3"], "host_text"),
+        (["check-covering", "{fano}", "--format", "structured"],
+         "host_text")])
+    def test_missing_embedded_field_is_malformed(self, files, capsys, argv,
+                                                 field):
+        files["pentagon"] = files["dir"] / "pentagon.col"
+        files["pentagon"].write_text("0110011010\n")
+        out = files["dir"] / "rec.json"
+        assert run(*(a.format(**files) for a in argv), "-o", out) == 0
+        record = json.loads(out.read_text())
+        del record[field]
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 1
+        err = error_lines(capsys)
+        assert len(err) == 1
+        assert err[0].startswith(f"error: malformed {record['record']} "
+                                 f"record: ")
 
     @pytest.mark.parametrize("argv,field,value,kind", [
         (["find-berge", "{fano}", "{k3}"], "host_text", 1.5,
