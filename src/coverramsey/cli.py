@@ -12,7 +12,6 @@ Exit codes: 0 success / verdict found, 1 precondition violation,
 import argparse
 import contextlib
 import functools
-import hashlib
 import io
 import json
 import reprlib
@@ -51,6 +50,7 @@ def _read(args, path):
             data = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
+    import hashlib  # only here, so that the CLI starts without OpenSSL
     args._inputs[path] = "sha256:" + hashlib.sha256(data).hexdigest()
     return data.decode("utf-8")
 

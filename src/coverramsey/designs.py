@@ -28,7 +28,7 @@ Anything else raises UnsupportedParametersError; the verifier accepts
 arbitrary candidate designs.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import chain, combinations, repeat
 from math import comb, isqrt
 
@@ -81,69 +81,42 @@ class DesignReport(namedtuple("DesignReport", "violations")):
 def verify_resolvable_bibd(design):
     """Full audit: every class partitions 1..n into k-blocks, every pair is
     covered exactly once, and the class count is (n - 1)/(k - 1).  Returns
-    a report listing each violation (empty report iff valid).
+    a report listing each violation, class by class and block by block,
+    then pair by pair, then the class count (empty report iff valid).
 
-    A valid design is proved by whole-list checks (`_is_valid`); only an
-    invalid one is walked block by block (`_violations`) to name what is
-    wrong."""
-    if _is_valid(design):
-        return DesignReport(())
-    return DesignReport(tuple(_violations(design)))
-
-
-def _is_valid(design):
-    """Whether the design has no violation: k >= 2, the class count is
-    (n - 1)/(k - 1), every block has k points, each class's sorted points
-    are 1..n, and the pairs of the sorted blocks (`_canonical`, which
-    sorts only when some block is not ascending) number C(n, 2) and are
-    all distinct.  The blocks' points being distinct and in 1..n, those
-    pairs are then every pair of 1..n, each once."""
+    Each property is checked on whole lists, and only a part that fails
+    is walked to name its violations.  A class whose blocks all have k
+    points and whose sorted points are 1..n repeats no point in a block.
+    When every class is such a partition, C(n, 2) distinct pairs in the
+    sorted blocks (`_canonical`) are every pair of 1..n, each once."""
     n, k, classes = design.n, design.k, design.classes
-    if k < 2 or (n - 1) % (k - 1) or len(classes) != (n - 1) // (k - 1):
-        return False
-    blocks = design.blocks()
-    points = list(range(1, n + 1))
-    if set(map(len, blocks)) - {k} or any(
-            sorted(chain.from_iterable(c)) != points for c in classes):
-        return False
-    pairs = list(chain.from_iterable(map(combinations, _canonical(blocks),
-                                         repeat(2))))
-    return len(pairs) == comb(n, 2) == len(set(pairs))
-
-
-def _violations(design):
-    """Every violation of the design, class by class and block by block,
-    then pair by pair, then the class count."""
-    n, k = design.n, design.k
     out = []
-    points = set(range(1, n + 1))
-    for ci, cls in enumerate(design.classes):
-        flat = [p for blk in cls for p in blk]
-        for blk in cls:
-            if len(blk) != k or len(set(blk)) != k:
-                out.append(DesignViolation(
-                    PARTITION_FAIL, f"class {ci}: block {blk} is not a "
-                                    f"{k}-set"))
-        if set(flat) != points or len(flat) != n:
+    points = list(range(1, n + 1))
+    blocks = design.blocks()
+    sized = not set(map(len, blocks)) - {k}
+    for ci, cls in enumerate(classes):
+        partition = sorted(chain.from_iterable(cls)) == points
+        if not (sized and partition):
+            out.extend(DesignViolation(
+                PARTITION_FAIL, f"class {ci}: block {blk} is not a {k}-set")
+                for blk in cls if len(blk) != k or len(set(blk)) != k)
+        if not partition:
             out.append(DesignViolation(
                 PARTITION_FAIL, f"class {ci} does not partition 1..{n}"))
-    counts = {}
-    for blk in design.blocks():
-        for p in combinations(sorted(set(blk)), 2):
-            counts[p] = counts.get(p, 0) + 1
-    for p in combinations(sorted(points), 2):
-        c = counts.get(p, 0)
-        if c != 1:
-            out.append(DesignViolation(
-                PAIR_COUNT_FAIL, f"pair {p} covered {c} times"))
-    expected_m = (n - 1) // (k - 1) if k > 1 else 0
-    if k > 1 and ((n - 1) % (k - 1) != 0
-                  or design.num_classes != expected_m):
+    pairs = list(chain.from_iterable(map(combinations, _canonical(blocks),
+                                         repeat(2))))
+    if out or not len(pairs) == len(set(pairs)) == comb(n, 2):
+        counts = Counter(pairs)
+        out.extend(DesignViolation(
+            PAIR_COUNT_FAIL, f"pair {p} covered {counts[p]} times")
+            for p in combinations(points, 2) if counts[p] != 1)
+    if k > 1 and ((n - 1) % (k - 1)
+                  or len(classes) != (n - 1) // (k - 1)):
         out.append(DesignViolation(
             CLASS_COUNT_FAIL,
-            f"{design.num_classes} classes, expected (n-1)/(k-1) = "
+            f"{len(classes)} classes, expected (n-1)/(k-1) = "
             f"{(n - 1) / (k - 1):g}"))
-    return out
+    return DesignReport(tuple(out))
 
 
 def design_to_hypergraph(design):

@@ -53,6 +53,9 @@ class Hypergraph:
     def __setattr__(self, name, value):
         raise AttributeError("Hypergraph is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Hypergraph is immutable")
+
     def __reduce__(self):
         return (Hypergraph, (self.n, self.edges, self.uniformity))
 

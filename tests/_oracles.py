@@ -9,6 +9,8 @@ from itertools import combinations, permutations
 
 from coverramsey import (EdgeColoring, Hypergraph, ResolvableDesign,
                          construct_resolvable_bibd)
+from coverramsey.designs import (CLASS_COUNT_FAIL, PAIR_COUNT_FAIL,
+                                 PARTITION_FAIL, DesignViolation)
 
 FANO_LINES = ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7),
               (3, 4, 7), (3, 5, 6))
@@ -135,6 +137,42 @@ def random_design(rng):
         rng.shuffle(blocks)
         classes.append(tuple(blocks))
     return ResolvableDesign(n, k, tuple(classes))
+
+
+def design_violations(design):
+    """Every violation of the design, class by class and block by block,
+    then pair by pair, then the class count: the block-by-block reference
+    for `verify_resolvable_bibd`'s report."""
+    n, k = design.n, design.k
+    out = []
+    points = set(range(1, n + 1))
+    for ci, cls in enumerate(design.classes):
+        flat = [p for blk in cls for p in blk]
+        for blk in cls:
+            if len(blk) != k or len(set(blk)) != k:
+                out.append(DesignViolation(
+                    PARTITION_FAIL, f"class {ci}: block {blk} is not a "
+                                    f"{k}-set"))
+        if set(flat) != points or len(flat) != n:
+            out.append(DesignViolation(
+                PARTITION_FAIL, f"class {ci} does not partition 1..{n}"))
+    counts = {}
+    for blk in design.blocks():
+        for p in combinations(sorted(set(blk)), 2):
+            counts[p] = counts.get(p, 0) + 1
+    for p in combinations(sorted(points), 2):
+        c = counts.get(p, 0)
+        if c != 1:
+            out.append(DesignViolation(
+                PAIR_COUNT_FAIL, f"pair {p} covered {c} times"))
+    expected_m = (n - 1) // (k - 1) if k > 1 else 0
+    if k > 1 and ((n - 1) % (k - 1) != 0
+                  or design.num_classes != expected_m):
+        out.append(DesignViolation(
+            CLASS_COUNT_FAIL,
+            f"{design.num_classes} classes, expected (n-1)/(k-1) = "
+            f"{(n - 1) / (k - 1):g}"))
+    return out
 
 
 def random_coloring(rng, hg):

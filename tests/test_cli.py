@@ -35,10 +35,12 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def error_lines(capsys):
-    """The `error:` lines on stderr; fails on a traceback."""
-    err = capsys.readouterr().err
+def error_lines(capsys, stdout=None):
+    """The `error:` lines on stderr; fails on a traceback, and on stdout
+    other than `stdout` when that is given."""
+    out, err = capsys.readouterr()
     assert "Traceback" not in err
+    assert stdout is None or out == stdout
     return [ln for ln in err.splitlines() if ln.startswith("error:")]
 
 
@@ -213,10 +215,9 @@ class TestUnavoidable:
         out.write_text(json.dumps(record))
         capsys.readouterr()
         assert run("verify", out) == 1
-        assert error_lines(capsys) == [
+        assert error_lines(capsys, stdout="") == [
             "error: malformed unavoidability-result record: unknown "
             "verdict 'banana'"]
-        assert capsys.readouterr().out == ""
 
     def forge(self, out, *argv, **fields):
         """Write an `unavoidable` record of the command line `argv` to
@@ -572,10 +573,9 @@ class TestMtLllAndCertify:
         out.write_text(json.dumps(record))
         capsys.readouterr()
         assert run("verify", out) == 1
-        assert error_lines(capsys) == [
+        assert error_lines(capsys, stdout="") == [
             f"error: malformed {record['record']} record: seed "
             f"{seed!r} is not the argv's --seed 0"]
-        assert capsys.readouterr().out == ""
 
     def test_mt_record_without_resamples_is_malformed(self, files, capsys):
         d9 = files["dir"] / "d9.hg"
@@ -588,10 +588,9 @@ class TestMtLllAndCertify:
         out.write_text(json.dumps(record))
         capsys.readouterr()
         assert run("verify", out) == 1
-        assert error_lines(capsys) == [
+        assert error_lines(capsys, stdout="") == [
             "error: malformed lower-bound-certificate record: "
             "KeyError('resamples')"]
-        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("command", ["mt-lll", "certify-lower"])
     def test_t_beyond_the_host_is_vacuous(self, files, capsys, command):
@@ -1126,7 +1125,6 @@ class TestVerifyDispatch:
         out.write_text(json.dumps(record))
         capsys.readouterr()
         assert run("verify", out) == 1
-        err = error_lines(capsys)
+        err = error_lines(capsys, stdout="")
         assert len(err) == 1
         assert err[0].startswith(f"error: malformed {kind} record: ")
-        assert capsys.readouterr().out == ""

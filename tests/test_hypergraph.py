@@ -7,9 +7,13 @@ from coverramsey import (BadEvent, BergeCertificate, BoundReport,
                          EdgeColoring, Hypergraph, LowerBoundCertificate,
                          MTRun, ProductReduction, ResolvableDesign,
                          ScatterSample, TraceColoring, UnavoidabilityResult,
-                         complete_host, format_coloring, format_hypergraph,
-                         minimal_covering_subhypergraph, parse_coloring,
-                         parse_hypergraph)
+                         complete_graph, complete_host, contains_mono_berge,
+                         find_berge, format_coloring, format_hypergraph,
+                         lower_bound_certificate,
+                         minimal_covering_subhypergraph,
+                         multicolor_product_reduction, parse_coloring,
+                         parse_hypergraph, scan_bad_events, trace_coloring,
+                         verify_certificate)
 
 from coverramsey.berge import VerifyResult, parse_target
 from coverramsey.designs import DesignReport, DesignViolation
@@ -174,6 +178,11 @@ class TestConstruction:
         hg = fano()
         with pytest.raises(AttributeError):
             hg.n = 9
+        pairs = hg.pair_edges()
+        for name in ("n", "edges", "uniformity", "_pair_edges"):
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(hg, name)
+        assert hg == fano() and hg.pair_edges() is pairs
 
     @pytest.mark.parametrize("record,field", RECORDS,
                              ids=[type(r).__name__ for r, _ in RECORDS])
@@ -328,3 +337,30 @@ class TestColoringSidecar:
     def test_indices_of(self):
         col = EdgeColoring((0, 1, 0, 1))
         assert col.indices_of(1) == (1, 3)
+
+
+K3 = complete_graph(3)
+
+# every public caller of `check_coloring`, on a host and a coloring
+COLORING_CALLERS = {
+    "find_berge": lambda hg, col: find_berge(hg, K3, col, 0),
+    "contains_mono_berge": lambda hg, col: contains_mono_berge(hg, col, K3,
+                                                               K3),
+    "verify_certificate": lambda hg, col: verify_certificate(
+        hg, K3, find_berge(hg, K3), col, 0),
+    "scan_bad_events": lambda hg, col: scan_bad_events(hg, col, 3),
+    "lower_bound_certificate": lambda hg, col: lower_bound_certificate(
+        hg, col, 3),
+    "trace_coloring": lambda hg, col: trace_coloring(
+        hg, col, ScatterSample((1, 2, 4), 1, 0)),
+    "multicolor_product_reduction": multicolor_product_reduction,
+}
+
+
+@pytest.mark.parametrize("call", COLORING_CALLERS.values(),
+                         ids=COLORING_CALLERS)
+def test_coloring_one_edge_short_is_refused(call):
+    hg = fano()
+    with pytest.raises(ValueError,
+                       match=r"^coloring length 6 != edge count 7$"):
+        call(hg, EdgeColoring((0,) * (hg.num_edges - 1)))

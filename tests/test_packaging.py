@@ -76,6 +76,15 @@ def test_cli_import_loads_no_process_pool():
     assert fresh_interpreter(code) == "[]"
 
 
+def test_cli_import_loads_no_hashlib():
+    # `hashlib` (and OpenSSL's `_hashlib`) is imported when an input file
+    # is read for its manifest digest, not when the CLI starts
+    code = ("import sys; before = set(sys.modules); import coverramsey.cli; "
+            "print(sorted({'hashlib', '_hashlib'} - before "
+            "& set(sys.modules)))")
+    assert fresh_interpreter(code) == "[]"
+
+
 def test_cli_import_generates_no_code():
     # the record types are named tuples: importing the CLI loads neither
     # `dataclasses` nor the `inspect` it pulls in.  Only modules the import
