@@ -17,22 +17,6 @@ from math import comb, e, inf, sqrt
 # 2.7182818284590453 as an exact fraction; e = 2.71828182845904523536...
 E_UPPER = Fraction(27182818284590453, 10 ** 16)
 
-# Classical 2-color Ramsey numbers, a reference table that no computation
-# reads.  Values are the long-established exact ones (see the dynamic
-# survey of small Ramsey numbers by Radziszowski).
-KNOWN_RAMSEY = {
-    (3, 3): 6,
-    (3, 4): 9,
-    (3, 5): 14,
-    (3, 6): 18,
-    (3, 7): 23,
-    (3, 8): 28,
-    (3, 9): 36,
-    (4, 4): 18,
-    (4, 5): 25,
-}
-
-
 class NoValidNError(ValueError):
     """Raised when no vertex count satisfies the local-lemma inequality."""
 

@@ -7,6 +7,10 @@ goes to stderr only.  Certificate-style outputs are JSON records that the
 
 Exit codes: 0 success / verdict found, 1 precondition violation,
 2 search or sampling limit exceeded, 3 verification failure.
+
+Importing this module loads no library module: each function imports the
+library names it calls when it runs, so a command loads only the modules
+its subcommand uses (`verify`, which reads any record, loads them all).
 """
 
 import argparse
@@ -17,24 +21,11 @@ import json
 import reprlib
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
-from .berge import (BergeCertificate, contains_mono_berge, find_berge,
-                    parse_target, verify_certificate)
-from .bounds import (asymptotic_lower, lll_inequality_holds, lll_threshold_n,
-                     thm1_upper_bound)
-from .designs import (construct_resolvable_bibd, format_design, parse_design,
-                      verify_resolvable_bibd)
-from .hypergraph import (_first_content_row, format_coloring,
-                         format_hypergraph, parse_coloring, parse_hypergraph)
-from .reductions import (DEFAULT_MAX_ATTEMPTS, multicolor_product_reduction,
-                         sample_scattered_subset, scatter_failure_bound,
-                         scatter_rejection_trials)
-from .search import (AVOIDABLE, DEFAULT_COLORING_LIMIT, DEFAULT_MAX_RESAMPLES,
-                     UNAVOIDABLE, LimitExceededError, VerificationFailure,
-                     lower_bound_certificate, moser_tardos_coloring,
-                     unavoidable, unavoidable_sharded)
+from ._common import (DEFAULT_COLORING_LIMIT, DEFAULT_MAX_ATTEMPTS,
+                      DEFAULT_MAX_RESAMPLES, LimitExceededError,
+                      VerificationFailure)
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 1
@@ -102,13 +93,13 @@ def _record(kind, args, **fields):
 
 
 def _fraction_str(frac):
-    frac = Fraction(frac)
     return f"{frac.numerator}/{frac.denominator}"
 
 
 def _product_fields(hg, coloring):
     """The product-reduction fields fixed by the host and its coloring.
     Row v - 2 of the matrix lists the colors of the pairs (u, v), u < v."""
+    from .reductions import multicolor_product_reduction
     red = multicolor_product_reduction(hg, coloring)
     matrix = [[red.pair_color[(u, v)] for u in range(1, v)]
               for v in range(2, red.n + 1)]
@@ -129,6 +120,8 @@ def _scatter_fields(hg, s, seed, trials, max_attempts):
     """The scatter-sample fields fixed by the host, `s`, the seed, the
     trial count and the attempt limit; the trial fields only when `trials`
     is nonzero, `subset` and `attempts` only when a sample is found."""
+    from .reductions import (sample_scattered_subset, scatter_failure_bound,
+                             scatter_rejection_trials)
     k = hg.max_edge_size
     bound = scatter_failure_bound(hg.n, s, k)
     fields = {"k": k, "failure_bound": _fraction_str(bound),
@@ -149,6 +142,8 @@ def _scatter_fields(hg, s, seed, trials, max_attempts):
 
 
 def cmd_gen_design(args):
+    from .designs import (construct_resolvable_bibd, format_design,
+                          verify_resolvable_bibd)
     design = construct_resolvable_bibd(args.n, args.k)
     report = verify_resolvable_bibd(design)
     if not report.ok():
@@ -161,6 +156,7 @@ def cmd_gen_design(args):
 
 
 def cmd_check_covering(args):
+    from .hypergraph import format_hypergraph, parse_hypergraph
     hg = parse_hypergraph(_read(args, args.host))
     fields = _covering_fields(hg)
     if args.format == "structured":
@@ -175,6 +171,7 @@ def cmd_check_covering(args):
 
 
 def _load_host_and_coloring(args):
+    from .hypergraph import parse_coloring, parse_hypergraph
     hg = parse_hypergraph(_read(args, args.host))
     coloring = None
     if getattr(args, "coloring", None) is not None:
@@ -183,6 +180,8 @@ def _load_host_and_coloring(args):
 
 
 def cmd_find_berge(args):
+    from .berge import find_berge, parse_target
+    from .hypergraph import format_coloring, format_hypergraph
     hg, coloring = _load_host_and_coloring(args)
     target_text = _read(args, args.target)
     target = parse_target(target_text)
@@ -218,12 +217,16 @@ def _shard_bits(args):
 def _unavoidability(hg, g1, g2, args, bits, jobs):
     """The result of the `unavoidable` command line `args` on the host and
     targets, its shards (if `bits` is not None) run by `jobs` workers."""
+    from .search import unavoidable, unavoidable_sharded
     if bits is None:
         return unavoidable(hg, g1, g2, shard=args.shard, limit=args.limit)
     return unavoidable_sharded(hg, g1, g2, bits, limit=args.limit, jobs=jobs)
 
 
 def cmd_unavoidable(args):
+    from .berge import parse_target
+    from .hypergraph import (format_coloring, format_hypergraph,
+                             parse_hypergraph)
     bits = _shard_bits(args)
     hg = parse_hypergraph(_read(args, args.host))
     g1_text, g2_text = _read(args, args.g1), _read(args, args.g2)
@@ -248,6 +251,8 @@ def cmd_unavoidable(args):
 
 
 def cmd_mt_lll(args):
+    from .hypergraph import parse_hypergraph
+    from .search import lower_bound_certificate, moser_tardos_coloring
     hg = parse_hypergraph(_read(args, args.host))
     run = moser_tardos_coloring(hg, args.t, seed=args.seed,
                                 max_resamples=args.max_resamples)
@@ -265,6 +270,7 @@ def cmd_mt_lll(args):
 
 
 def cmd_scatter(args):
+    from .hypergraph import format_hypergraph, parse_hypergraph
     hg = parse_hypergraph(_read(args, args.host))
     fields = _scatter_fields(hg, args.s, args.seed, args.trials,
                              args.max_attempts)
@@ -278,6 +284,7 @@ def cmd_scatter(args):
 
 
 def cmd_reduce_product(args):
+    from .hypergraph import format_coloring, format_hypergraph
     hg, coloring = _load_host_and_coloring(args)
     _emit_json(_record("product-reduction", args,
                        host_text=format_hypergraph(hg),
@@ -289,6 +296,8 @@ def cmd_reduce_product(args):
 def _bound_report(args):
     """The BoundReport of a `bound` command line; the number of integer
     arguments is checked first."""
+    from .bounds import (asymptotic_lower, lll_inequality_holds,
+                         lll_threshold_n, thm1_upper_bound)
     needed = {"thm1": 2, "lll": 3, "lll-threshold": 2, "asym": 1}[args.formula]
     given = [v for v in (args.a, args.b, args.c) if v is not None]
     if len(given) != needed:
@@ -306,6 +315,7 @@ def _bound_report(args):
 def _bound_fields(report):
     """The bound-report fields of a BoundReport; a Fraction value as
     "p/q"."""
+    from fractions import Fraction
     value = report.value
     return {"formula_id": report.formula_id, "inputs": report.inputs,
             "value": (_fraction_str(value) if isinstance(value, Fraction)
@@ -324,6 +334,7 @@ def cmd_bound(args):
 
 
 def cmd_certify_lower(args):
+    from .search import lower_bound_certificate
     hg, coloring = _load_host_and_coloring(args)
     cert = lower_bound_certificate(hg, coloring, args.t)
     _emit_json(_record("lower-bound-certificate", args, **cert._asdict()),
@@ -349,6 +360,9 @@ def _mismatch(record, recomputed):
 
 
 def _verify_berge_record(record):
+    from .berge import (BergeCertificate, find_berge, parse_target,
+                        verify_certificate)
+    from .hypergraph import parse_coloring, parse_hypergraph
     hg = parse_hypergraph(record["host_text"])
     target = parse_target(record["target_text"])
     color = record.get("color")
@@ -372,6 +386,8 @@ def _verify_berge_record(record):
 
 
 def _verify_lower_bound_record(record):
+    from .hypergraph import format_coloring, parse_coloring, parse_hypergraph
+    from .search import lower_bound_certificate, moser_tardos_coloring
     hg = parse_hypergraph(record["host_text"])
     coloring = parse_coloring(record["coloring_text"], hg.num_edges)
     try:
@@ -393,6 +409,9 @@ def _verify_lower_bound_record(record):
 
 
 def _verify_unavoidability_record(record):
+    from .berge import contains_mono_berge, parse_target
+    from .hypergraph import parse_coloring, parse_hypergraph
+    from .search import AVOIDABLE, UNAVOIDABLE, avoidable_counters
     hg = parse_hypergraph(record["host_text"])
     g1 = parse_target(record["g1_text"])
     g2 = parse_target(record["g2_text"])
@@ -404,6 +423,20 @@ def _verify_unavoidability_record(record):
         hit = contains_mono_berge(hg, coloring, g1, g2)
         if hit is not None:
             return False, f"witness contains a monochromatic target: {hit[0]}"
+        # version 0.1.0 visited colorings in Gray-code order; later ones
+        # in binary order, where the witness and argv fix the counters
+        if record["manifest"]["version"] != "0.1.0":
+            args = _recorded_args(record, "unavoidable")
+            counters = avoidable_counters(hg, g1, g2, coloring, args.shard,
+                                          _shard_bits(args))
+            if counters is None:
+                return False, ("witness extends no shard prefix of the "
+                               "recorded run")
+            examined, spec = counters
+            problem = _mismatch(record, {"colorings_examined": examined,
+                                         "shard": spec})
+            if problem:
+                return False, problem
         return True, "witness re-verified (avoids both targets)"
     # the search is re-run as recorded, its shards by one worker
     args = _recorded_args(record, "unavoidable")
@@ -443,6 +476,7 @@ def _recorded_args(record, command):
 
 
 def _verify_scatter_record(record):
+    from .hypergraph import parse_hypergraph
     hg = parse_hypergraph(record["host_text"])
     s = record["s"]
     args = _recorded_args(record, "scatter")
@@ -472,6 +506,7 @@ def _verify_scatter_record(record):
 
 
 def _verify_product_record(record):
+    from .hypergraph import parse_coloring, parse_hypergraph
     hg = parse_hypergraph(record["host_text"])
     coloring = parse_coloring(record["coloring_text"], hg.num_edges)
     problem = _mismatch(record, _product_fields(hg, coloring))
@@ -486,6 +521,7 @@ def _verify_bound_record(record):
 
 
 def _verify_covering_record(record):
+    from .hypergraph import parse_hypergraph
     hg = parse_hypergraph(record["host_text"])
     problem = _mismatch(record, _covering_fields(hg))
     return not problem, problem or "covering check reproduces from host"
@@ -508,6 +544,12 @@ def _json_record(text):
 
 
 def cmd_verify(args):
+    # every library module, whatever the record: perfbench's tracer wraps
+    # functions only in loaded modules, and a workload pass may run no
+    # other command that loads, say, `reductions`
+    from . import berge, bounds, designs, hypergraph, reductions, search
+    from .designs import parse_design, verify_resolvable_bibd
+    from .hypergraph import _first_content_row, parse_hypergraph
     text = _read(args, args.file)
     # dispatch on the first line that is neither blank nor a '#' comment
     first = _first_content_row(text) or ""

@@ -18,10 +18,9 @@ from fractions import Fraction
 from itertools import combinations, islice
 from math import comb
 
+from ._common import DEFAULT_MAX_ATTEMPTS
 from .berge import find_berge, lift_embedding
 from .hypergraph import Hypergraph, check_coloring
-
-DEFAULT_MAX_ATTEMPTS = 1000
 
 
 class ScatterSample(namedtuple("ScatterSample", "subset attempts seed")):

@@ -9,6 +9,8 @@ import random
 from collections import namedtuple
 from functools import partial
 
+from ._common import (DEFAULT_COLORING_LIMIT, DEFAULT_MAX_RESAMPLES,
+                      LimitExceededError, VerificationFailure)
 from .berge import (BergeSearch, complete_graph, contains_mono_berge,
                     lift_embedding)
 from .hypergraph import (EdgeColoring, check_coloring, complete_host,
@@ -16,22 +18,6 @@ from .hypergraph import (EdgeColoring, check_coloring, complete_host,
 
 UNAVOIDABLE = "UNAVOIDABLE"
 AVOIDABLE = "AVOIDABLE"
-
-DEFAULT_COLORING_LIMIT = 2 ** 20
-DEFAULT_MAX_RESAMPLES = 10 ** 6
-
-
-class LimitExceededError(RuntimeError):
-    """Coloring space larger than the configured exhaustion limit."""
-
-
-class VerificationFailure(RuntimeError):
-    """A claimed good coloring contains a monochromatic Berge target."""
-
-    def __init__(self, message, color=None, certificate=None):
-        super().__init__(message)
-        self.color = color
-        self.certificate = certificate
 
 
 class UnavoidabilityResult(namedtuple(
@@ -71,12 +57,7 @@ def unavoidable(hg, g1, g2, shard=None, limit=DEFAULT_COLORING_LIMIT):
     """
     _check_limit(limit)
     m = hg.num_edges
-    if shard is None:
-        prefix = "0" if g1 == g2 and m > 0 else ""
-    elif len(shard) > m or any(ch not in "01" for ch in shard):
-        raise ValueError(f"bad shard prefix {shard!r} for {m} edges")
-    else:
-        prefix = shard
+    prefix = _prefix(shard, g1, g2, m)
     p = len(prefix)
     if 2 ** (m - p) > limit:
         raise LimitExceededError(
@@ -111,9 +92,30 @@ def unavoidable(hg, g1, g2, shard=None, limit=DEFAULT_COLORING_LIMIT):
     return UnavoidabilityResult(UNAVOIDABLE, None, 2 ** (m - p), shard)
 
 
+def _prefix(shard, g1, g2, m):
+    """The colors `unavoidable` fixes on the first edges of a host with m
+    edges, as a bit string: `shard`, else "0" when g1 == g2, else none."""
+    if shard is None:
+        return "0" if g1 == g2 and m > 0 else ""
+    if len(shard) > m or any(ch not in "01" for ch in shard):
+        raise ValueError(f"bad shard prefix {shard!r} for {m} edges")
+    return shard
+
+
 def shard_prefixes(bits):
     """All 2^bits shard descriptors of the given length."""
     return [format(v, f"0{bits}b") for v in range(2 ** bits)] if bits else [""]
+
+
+def _shards(g1, g2, m, bits):
+    """The `shard` arguments of the runs of `unavoidable_sharded`, in the
+    order their results are merged."""
+    if bits < 0:
+        raise ValueError(f"shard bits must be non-negative, got {bits}")
+    prefixes = shard_prefixes(min(bits, m))
+    if g1 == g2:
+        prefixes = [p or None for p in prefixes if not p.startswith("1")]
+    return prefixes
 
 
 def unavoidable_sharded(hg, g1, g2, bits, limit=DEFAULT_COLORING_LIMIT,
@@ -127,12 +129,8 @@ def unavoidable_sharded(hg, g1, g2, bits, limit=DEFAULT_COLORING_LIMIT,
     the color swap maps each "1..." shard onto an earlier "0..." shard,
     and the single shard of bit length 0 gets `unavoidable`'s edge-0 cut.
     """
-    if bits < 0:
-        raise ValueError(f"shard bits must be non-negative, got {bits}")
+    prefixes = _shards(g1, g2, hg.num_edges, bits)
     _check_limit(limit)
-    prefixes = shard_prefixes(min(bits, hg.num_edges))
-    if g1 == g2:
-        prefixes = [p or None for p in prefixes if not p.startswith("1")]
     run = partial(unavoidable, hg, g1, g2, limit=limit)
     pool = None
     if jobs > 1:
@@ -151,6 +149,32 @@ def unavoidable_sharded(hg, g1, g2, bits, limit=DEFAULT_COLORING_LIMIT,
             pool.shutdown(cancel_futures=True)
     return UnavoidabilityResult(UNAVOIDABLE, None, examined,
                                 f"merged[{bits}]")
+
+
+def avoidable_counters(hg, g1, g2, witness, shard=None, bits=None):
+    """The `colorings_examined` and `shard_spec` of the AVOIDABLE result
+    with this witness from `unavoidable(hg, g1, g2, shard)`, or, when
+    `bits` is given, from `unavoidable_sharded(hg, g1, g2, bits)`, derived
+    without a search; None when the witness extends no prefix of the run.
+
+    Each run before the one whose prefix q the witness extends was
+    UNAVOIDABLE and counts all 2^(m - |q'|) colorings of its free edges;
+    the witness's run counts the witness's binary position, its red bits
+    above q, plus one."""
+    m = hg.num_edges
+    if bits is None:
+        runs, spec = [shard], shard
+    else:
+        runs, spec = _shards(g1, g2, m, bits), f"merged[{bits}]"
+    red = sum(c << i for i, c in enumerate(witness.colors))
+    examined = 0
+    for run in runs:
+        prefix = _prefix(run, g1, g2, m)
+        p = len(prefix)
+        if witness.colors[:p] == tuple(map(int, prefix)):
+            return examined + (red >> p) + 1, spec
+        examined += 2 ** (m - p)
+    return None
 
 
 def classical_ramsey_small(g1, g2, n_max, limit=DEFAULT_COLORING_LIMIT):

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from coverramsey import (KNOWN_RAMSEY, NoValidNError, asymptotic_lower,
-                         lll_inequality_holds, lll_threshold_n,
-                         sufficiency_inequality_holds, thm1_upper_bound)
+from coverramsey import (NoValidNError, asymptotic_lower, lll_inequality_holds,
+                         lll_threshold_n, sufficiency_inequality_holds,
+                         thm1_upper_bound)
 from coverramsey.bounds import E_UPPER
 
 
@@ -130,9 +130,3 @@ class TestReportRendering:
         text = thm1_upper_bound(3, 6).render()
         assert "value = 486" in text
 
-
-class TestKnownRamseyTable:
-    def test_spot_values(self):
-        assert KNOWN_RAMSEY[(3, 3)] == 6
-        assert KNOWN_RAMSEY[(4, 4)] == 18
-        assert KNOWN_RAMSEY[(3, 5)] == 14

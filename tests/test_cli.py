@@ -254,6 +254,54 @@ class TestUnavoidable:
         assert run("verify", out) == 3
         assert capsys.readouterr().out == message + "\n"
 
+    @pytest.mark.parametrize("g2", ["k3", "k4"])
+    @pytest.mark.parametrize("argv", [
+        [], ["--shard", "11"], ["--shard-bits", "2"], ["--jobs", "2"],
+        ["--shard-bits", "5"]])
+    def test_avoidable_record_verifies(self, files, capsys, argv, g2):
+        out = files["dir"] / "unavoid.json"
+        assert run("unavoidable", files["k5"], files["k3"], files[g2],
+                   *argv, "-o", out) == 0
+        assert json.loads(out.read_text())["verdict"] == "AVOIDABLE"
+        capsys.readouterr()
+        assert run("verify", out) == 0
+        assert capsys.readouterr().out == (
+            "witness re-verified (avoids both targets)\n")
+
+    @pytest.mark.parametrize("argv,fields,message", [
+        ([], {"colorings_examined": 1},
+         "colorings_examined mismatch: recomputed 111, recorded 1"),
+        ([], {"shard": "11"},
+         "shard mismatch: recomputed None, recorded '11'"),
+        (["--shard", "11"], {"colorings_examined": 111},
+         "colorings_examined mismatch: recomputed 177, recorded 111"),
+        (["--shard", "11"], {"shard": None},
+         "shard mismatch: recomputed '11', recorded None"),
+        (["--shard-bits", "2"], {"colorings_examined": 111},
+         "colorings_examined mismatch: recomputed 56, recorded 111"),
+        (["--shard-bits", "2"], {"shard": "merged[3]"},
+         "shard mismatch: recomputed 'merged[2]', recorded 'merged[3]'"),
+        # the genuine witness of the unsharded run, and its color swap,
+        # which avoids K3 too but has edge 0 red
+        (["--shard", "11"], {"witness": "0011101100"},
+         "witness extends no shard prefix of the recorded run"),
+        ([], {"witness": "1100010011"},
+         "witness extends no shard prefix of the recorded run")],
+        ids=["count", "shard", "shard-count", "shard-spec", "merged-count",
+             "merged-spec", "other-prefix", "edge-0-red"])
+    def test_forged_avoidable_counters_exit_3(self, files, capsys, argv,
+                                              fields, message):
+        # K5 (K3, K3) is avoidable; the counters follow from the witness
+        # and the argv, so a record whose counters were edited fails
+        out = files["dir"] / "unavoid.json"
+        self.forge(out, files["k5"], files["k3"], files["k3"], *argv)
+        record = json.loads(out.read_text())
+        record.update(fields)
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 3
+        assert capsys.readouterr().out == message + "\n"
+
     @pytest.mark.parametrize("argv", [
         [], ["--shard", "01"], ["--shard-bits", "2"], ["--jobs", "2"],
         ["--shard-bits", "3", "--limit", "4096"]])

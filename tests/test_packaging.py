@@ -1,8 +1,11 @@
 """Packaging guards: the sources parse as the oldest supported Python,
 import nothing outside the standard library, and `pyproject.toml` keeps
-zero runtime dependencies and takes its version from the package."""
+zero runtime dependencies and takes its version from the package.  The
+start-up guards check, in fresh interpreters, which modules importing
+the CLI and running a subcommand load."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -57,6 +60,63 @@ def test_pyproject_has_no_dependencies_and_the_package_version():
     assert re.fullmatch(r"\d+\.\d+\.\d+", coverramsey.__version__)
 
 
+def test_version_is_a_literal_assignment():
+    # setuptools reads `attr: coverramsey.__version__` from the source when
+    # it is a literal, without importing the package or its `__getattr__`
+    init = ROOT / "src" / "coverramsey" / "__init__.py"
+    tree = ast.parse(init.read_text())
+    values = [node.value for node in tree.body if isinstance(node, ast.Assign)
+              and [ast.unparse(t) for t in node.targets] == ["__version__"]]
+    assert len(values) == 1 and isinstance(values[0], ast.Constant)
+    assert values[0].value == coverramsey.__version__
+
+
+# The names `coverramsey` exported before its submodules were loaded
+# lazily, by defining module.
+EXPORTED = {
+    "berge": ("BergeCertificate", "complete_graph", "contains_mono_berge",
+              "cycle_graph", "find_berge", "matching_for_assignment",
+              "parse_target", "path_graph", "verify_certificate"),
+    "bounds": ("BoundReport", "NoValidNError", "asymptotic_lower",
+               "lll_inequality_holds", "lll_threshold_n",
+               "sufficiency_inequality_holds", "thm1_upper_bound"),
+    "designs": ("ResolvableDesign", "UnsupportedParametersError",
+                "construct_resolvable_bibd", "design_to_hypergraph",
+                "format_design", "parse_design", "verify_resolvable_bibd"),
+    "hypergraph": ("EdgeColoring", "Hypergraph", "complete_host",
+                   "format_coloring", "format_hypergraph",
+                   "minimal_covering_subhypergraph", "parse_coloring",
+                   "parse_hypergraph"),
+    "reductions": ("ProductReduction", "ScatterSample", "TraceColoring",
+                   "find_mono_subgraph", "lift_mono_subgraph",
+                   "lift_trace_subgraph", "multicolor_product_reduction",
+                   "sample_scattered_subset", "scatter_failure_bound",
+                   "scatter_rejection_trials", "trace_coloring"),
+    "search": ("AVOIDABLE", "BadEvent", "LimitExceededError",
+               "LowerBoundCertificate", "MTRun", "UNAVOIDABLE",
+               "UnavoidabilityResult", "VerificationFailure",
+               "classical_ramsey_small", "lower_bound_certificate",
+               "moser_tardos_coloring", "scan_bad_events", "unavoidable",
+               "unavoidable_sharded"),
+}
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTED))
+def test_exported_names_resolve_to_their_submodule(module):
+    owner = importlib.import_module("coverramsey." + module)
+    for name in EXPORTED[module]:
+        namespace = {}
+        exec(f"from coverramsey import {name}", namespace)
+        assert namespace[name] is getattr(owner, name), name
+        assert name in dir(coverramsey), name
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError,
+                       match="module 'coverramsey' has no attribute 'nope'"):
+        coverramsey.nope
+
+
 def fresh_interpreter(code):
     """The stripped stdout of `code` run by a fresh interpreter that
     imports the package from this checkout."""
@@ -93,3 +153,44 @@ def test_cli_import_generates_no_code():
             "print(sorted({'dataclasses', 'inspect'} - before "
             "& set(sys.modules)))")
     assert fresh_interpreter(code) == "[]"
+
+
+LIBRARY = {"berge", "bounds", "designs", "hypergraph", "reductions", "search"}
+
+
+def loaded_by(code):
+    """The library modules that `code` loads in a fresh interpreter that
+    has already imported the CLI and built its parser."""
+    code = ("import contextlib, io, sys\n"
+            "import coverramsey.cli as cli\n"
+            "cli.build_parser()\n"
+            "before = set(sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    {code}\n"
+            "print(' '.join(sorted(m.split('.')[1] for m in set(sys.modules)"
+            " - before if m.startswith('coverramsey.'))))")
+    return set(fresh_interpreter(code).split())
+
+
+def test_cli_import_and_parser_load_no_library_module():
+    code = ("import sys; before = set(sys.modules); import coverramsey.cli; "
+            "coverramsey.cli.build_parser(); print(' '.join(sorted("
+            "set(sys.modules) - before)))")
+    added = set(fresh_interpreter(code).split())
+    assert "coverramsey.cli" in added
+    assert added & {"coverramsey." + m for m in LIBRARY} == set()
+
+
+@pytest.mark.parametrize("argv,modules", [
+    (["bound", "thm1", "3", "6"], {"bounds"}),
+    (["gen-design", "9", "3"], {"designs", "hypergraph"}),
+    (["find-berge", "HOST", "TARGET"], {"berge", "hypergraph"})],
+    ids=["bound", "gen-design", "find-berge"])
+def test_subcommand_loads_only_what_it_calls(tmp_path, argv, modules):
+    host, target = tmp_path / "k4.hg", tmp_path / "k3.g"
+    host.write_text("4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
+    target.write_text("3 3\n1 2\n1 3\n2 3\n")
+    argv = [{"HOST": str(host), "TARGET": str(target)}.get(a, a)
+            for a in argv]
+    assert loaded_by(f"assert cli.main({argv!r}) == 0") == modules
