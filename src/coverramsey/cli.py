@@ -80,125 +80,80 @@ def _emit_text(text, path):
     """Write `text` to the file `path`, naming it on stderr, or to stdout
     when no path is given."""
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
         print(f"wrote {path}", file=sys.stderr)
     else:
         sys.stdout.write(text)
-
-
-def _record(kind, args, **fields):
-    """The JSON record of type `kind` with the run's manifest."""
-    return {"record": kind, "manifest": _manifest(args), **fields}
 
 
 def _fraction_str(frac):
     return f"{frac.numerator}/{frac.denominator}"
 
 
-def _product_fields(hg, coloring):
-    """The product-reduction fields fixed by the host and its coloring.
-    Row v - 2 of the matrix lists the colors of the pairs (u, v), u < v."""
-    from .reductions import multicolor_product_reduction
-    red = multicolor_product_reduction(hg, coloring)
-    matrix = [[red.pair_color[(u, v)] for u in range(1, v)]
-              for v in range(2, red.n + 1)]
-    provenance = [[u, v, ie, label]
-                  for (u, v), (ie, label) in sorted(red.provenance.items())]
-    return {"n": red.n, "palette_size": red.palette_size,
-            "label_count": red.label_count, "color_matrix_lower": matrix,
-            "provenance": provenance}
+# -- field functions ----------------------------------------------------------
+# Each JSON-writing command has one field function, (args, text, claim=None)
+# -> every field of its record but `record` and `manifest`.  It reads each
+# input through text(role), for the role `host`, `coloring`, `target`, `g1`
+# or `g2`: from the command's input files, or, under `verify`, from the
+# record's `<role>_text` field with `args` parsed from the manifest argv.
+# `claim`, the record under `verify`, has its positive claim checked in place
+# of a search; a claim that fails its check raises VerificationFailure.
 
 
-def _covering_fields(hg):
-    """The covering-check fields fixed by the host."""
-    return {"n": hg.n, "m": hg.num_edges, "covering": hg.is_covering(),
-            "min_codegree": hg.min_codegree()}
+def _input_files(args):
+    """The `text` of a command's field function: its input file of a role."""
+    return lambda role: _read(args, getattr(args, role))
 
 
-def _scatter_fields(hg, s, seed, trials, max_attempts):
-    """The scatter-sample fields fixed by the host, `s`, the seed, the
-    trial count and the attempt limit; the trial fields only when `trials`
-    is nonzero, `subset` and `attempts` only when a sample is found."""
-    from .reductions import (sample_scattered_subset, scatter_failure_bound,
-                             scatter_rejection_trials)
-    k = hg.max_edge_size
-    bound = scatter_failure_bound(hg.n, s, k)
-    fields = {"k": k, "failure_bound": _fraction_str(bound),
-              "failure_bound_float": float(bound)}
-    if trials:
-        rejected, trials = scatter_rejection_trials(hg, s, trials, seed=seed)
-        fields.update(trials=trials, rejected=rejected,
-                      empirical_rate=rejected / trials)
-    sample = sample_scattered_subset(hg, s, seed=seed,
-                                     max_attempts=max_attempts)
-    fields["found"] = sample is not None
-    if sample is not None:
-        fields.update(subset=list(sample.subset), attempts=sample.attempts)
-    return fields
-
-
-# -- subcommands --------------------------------------------------------------
-
-
-def cmd_gen_design(args):
-    from .designs import (construct_resolvable_bibd, format_design,
-                          verify_resolvable_bibd)
-    design = construct_resolvable_bibd(args.n, args.k)
-    report = verify_resolvable_bibd(design)
-    if not report.ok():
-        raise VerificationFailure(
-            f"constructed design failed its own verifier: "
-            f"{report.violations[0].detail}")
-    _emit_text(_text_file("design", args, format_design(design)),
-               args.output)
-    return EXIT_OK
-
-
-def cmd_check_covering(args):
-    from .hypergraph import format_hypergraph, parse_hypergraph
-    hg = parse_hypergraph(_read(args, args.host))
-    fields = _covering_fields(hg)
-    if args.format == "structured":
-        _emit_json(_record("covering-check", args,
-                           host_text=format_hypergraph(hg), **fields),
-                   args.output)
-    else:
-        _emit_text(f"covering: {fields['covering']} "
-                   f"(n={hg.n}, m={hg.num_edges}, "
-                   f"min co-degree {fields['min_codegree']})\n", args.output)
-    return EXIT_OK
-
-
-def _load_host_and_coloring(args):
+def _host_and_coloring(args, text):
     from .hypergraph import parse_coloring, parse_hypergraph
-    hg = parse_hypergraph(_read(args, args.host))
+    hg = parse_hypergraph(text("host"))
     coloring = None
-    if getattr(args, "coloring", None) is not None:
-        coloring = parse_coloring(_read(args, args.coloring), hg.num_edges)
+    if args.coloring is not None:
+        coloring = parse_coloring(text("coloring"), hg.num_edges)
     return hg, coloring
 
 
-def cmd_find_berge(args):
-    from .berge import find_berge, parse_target
+def _covering_fields(args, text, claim=None):
+    from .hypergraph import format_hypergraph, parse_hypergraph
+    hg = parse_hypergraph(text("host"))
+    return {"host_text": format_hypergraph(hg), "n": hg.n, "m": hg.num_edges,
+            "covering": hg.is_covering(), "min_codegree": hg.min_codegree()}
+
+
+def _berge_fields(args, text, claim=None):
+    """A claimed copy is checked by `verify_certificate`, with no search;
+    a claimed absence is searched for again."""
+    from .berge import (BergeCertificate, find_berge, parse_target,
+                        verify_certificate)
     from .hypergraph import format_coloring, format_hypergraph
-    hg, coloring = _load_host_and_coloring(args)
-    target_text = _read(args, args.target)
+    hg, coloring = _host_and_coloring(args, text)
+    target_text = text("target")
     target = parse_target(target_text)
-    color = args.color
-    if (coloring is None) != (color is None):
+    if (coloring is None) != (args.color is None):
         raise ValueError("--coloring and --color must be given together")
-    cert = find_berge(hg, target, coloring, color)
-    record = _record("berge-certificate", args,
-                     host_text=format_hypergraph(hg), target_text=target_text,
-                     color=color, found=cert is not None)
+    if claim is not None and claim["found"]:
+        cert = BergeCertificate(claim["vertex_map"], claim["edge_map"])
+        result = verify_certificate(hg, target, cert, coloring, args.color)
+        if not result:
+            raise VerificationFailure(result.reason)
+    else:
+        cert = find_berge(hg, target, coloring, args.color)
+        if claim is not None and cert is not None:
+            raise VerificationFailure("absence claim refuted: the recorded "
+                                      "search finds a copy")
+    fields = {"host_text": format_hypergraph(hg), "target_text": target_text,
+              "color": args.color, "found": cert is not None}
     if coloring is not None:
-        record["coloring_text"] = format_coloring(coloring)
+        fields["coloring_text"] = format_coloring(coloring)
     if cert is not None:
-        record["vertex_map"] = [list(p) for p in cert.vertex_map]
-        record["edge_map"] = [list(p) for p in cert.edge_map]
-    _emit_json(record, args.output)
-    return EXIT_OK
+        fields.update(vertex_map=[list(p) for p in cert.vertex_map],
+                      edge_map=[list(p) for p in cert.edge_map])
+    return fields
 
 
 def _shard_bits(args):
@@ -214,83 +169,124 @@ def _shard_bits(args):
     return 2 if args.shard_bits is None else args.shard_bits
 
 
-def _unavoidability(hg, g1, g2, args, bits, jobs):
-    """The result of the `unavoidable` command line `args` on the host and
-    targets, its shards (if `bits` is not None) run by `jobs` workers."""
-    from .search import unavoidable, unavoidable_sharded
-    if bits is None:
-        return unavoidable(hg, g1, g2, shard=args.shard, limit=args.limit)
-    return unavoidable_sharded(hg, g1, g2, bits, limit=args.limit, jobs=jobs)
-
-
-def cmd_unavoidable(args):
-    from .berge import parse_target
+def _unavoidable_fields(args, text, claim=None):
+    """A claimed AVOIDABLE witness is checked, and its counters derived
+    from it and the argv, with no search; a claimed UNAVOIDABLE verdict is
+    searched again, its shards by one worker."""
+    from .berge import contains_mono_berge, parse_target
     from .hypergraph import (format_coloring, format_hypergraph,
-                             parse_hypergraph)
+                             parse_coloring, parse_hypergraph)
+    from .search import (AVOIDABLE, UNAVOIDABLE, UnavoidabilityResult,
+                         avoidable_counters, unavoidable, unavoidable_sharded)
     bits = _shard_bits(args)
-    hg = parse_hypergraph(_read(args, args.host))
-    g1_text, g2_text = _read(args, args.g1), _read(args, args.g2)
+    hg = parse_hypergraph(text("host"))
+    g1_text, g2_text = text("g1"), text("g2")
     g1, g2 = parse_target(g1_text), parse_target(g2_text)
-    result = _unavoidability(hg, g1, g2, args, bits, args.jobs)
-    record = _record("unavoidability-result", args,
-                     host_text=format_hypergraph(hg), g1_text=g1_text,
-                     g2_text=g2_text, verdict=result.verdict,
-                     colorings_examined=result.colorings_examined,
-                     shard=result.shard_spec)
-    if result.witness is not None:
-        record["witness"] = format_coloring(result.witness).strip()
-    if args.format == "structured" or args.output:
-        _emit_json(record, args.output)
+    if claim is not None and claim["verdict"] not in (AVOIDABLE, UNAVOIDABLE):
+        raise ValueError(f"malformed unavoidability-result record: unknown "
+                         f"verdict {claim['verdict']!r}")
+    if claim is not None and claim["verdict"] == AVOIDABLE:
+        witness = parse_coloring(claim["witness"] + "\n", hg.num_edges)
+        hit = contains_mono_berge(hg, witness, g1, g2)
+        if hit is not None:
+            raise VerificationFailure(f"witness contains a monochromatic "
+                                      f"target: {hit[0]}")
+        # version 0.1.0 visited colorings in Gray-code order; later ones
+        # in binary order, where the witness and argv fix the counters
+        counters = ((claim["colorings_examined"], claim["shard"])
+                    if claim["manifest"]["version"] == "0.1.0" else
+                    avoidable_counters(hg, g1, g2, witness, args.shard, bits))
+        if counters is None:
+            raise VerificationFailure("witness extends no shard prefix of "
+                                      "the recorded run")
+        result = UnavoidabilityResult(AVOIDABLE, witness, *counters)
+    elif bits is None:
+        result = unavoidable(hg, g1, g2, shard=args.shard, limit=args.limit)
     else:
-        line = (f"{result.verdict} after {result.colorings_examined} "
-                f"colorings")
-        if result.witness is not None:
-            line += f"; witness {record['witness']}"
-        _emit_text(line + "\n", args.output)
-    return EXIT_OK
+        result = unavoidable_sharded(hg, g1, g2, bits, limit=args.limit,
+                                     jobs=args.jobs if claim is None else 1)
+    fields = {"host_text": format_hypergraph(hg), "g1_text": g1_text,
+              "g2_text": g2_text, "verdict": result.verdict,
+              "colorings_examined": result.colorings_examined,
+              "shard": result.shard_spec}
+    if result.witness is not None:
+        fields["witness"] = format_coloring(result.witness).strip()
+    return fields
 
 
-def cmd_mt_lll(args):
+def _mt_lll_fields(args, text, claim=None):
+    """With no good coloring within the resample limit, only
+    `coloring_text` (None) and `resamples`."""
     from .hypergraph import parse_hypergraph
     from .search import lower_bound_certificate, moser_tardos_coloring
-    hg = parse_hypergraph(_read(args, args.host))
+    hg = parse_hypergraph(text("host"))
     run = moser_tardos_coloring(hg, args.t, seed=args.seed,
                                 max_resamples=args.max_resamples)
     if run.coloring is None:
-        print(f"no good coloring within {run.resamples} resamples",
-              file=sys.stderr)
-        return EXIT_LIMIT
-    cert = lower_bound_certificate(hg, run.coloring, args.t)
-    if args.coloring_out:
-        _emit_text(_text_file("coloring", args, cert.coloring_text),
-                   args.coloring_out)
-    _emit_json(_record("lower-bound-certificate", args, **cert._asdict(),
-                       resamples=run.resamples), args.output)
-    return EXIT_OK
+        return {"coloring_text": None, "resamples": run.resamples}
+    return {**lower_bound_certificate(hg, run.coloring, args.t)._asdict(),
+            "resamples": run.resamples}
 
 
-def cmd_scatter(args):
+def _certify_lower_fields(args, text, claim=None):
+    from .search import lower_bound_certificate
+    hg, coloring = _host_and_coloring(args, text)
+    return lower_bound_certificate(hg, coloring, args.t)._asdict()
+
+
+def _scatter_fields(args, text, claim=None):
+    """The trial fields only under --trials, `subset` and `attempts` only
+    when a sample is found.  A claimed subset is checked before `verify`
+    compares the fields, so that a bad one is named as such."""
     from .hypergraph import format_hypergraph, parse_hypergraph
-    hg = parse_hypergraph(_read(args, args.host))
-    fields = _scatter_fields(hg, args.s, args.seed, args.trials,
-                             args.max_attempts)
-    _emit_json(_record("scatter-sample", args, host_text=format_hypergraph(hg),
-                       s=args.s, **fields), args.output)
-    if not fields["found"]:
-        print(f"no scattered subset within {args.max_attempts} attempts",
-              file=sys.stderr)
-        return EXIT_LIMIT
-    return EXIT_OK
+    from .reductions import (sample_scattered_subset, scatter_failure_bound,
+                             scatter_rejection_trials)
+    hg = parse_hypergraph(text("host"))
+    s, k = args.s, hg.max_edge_size
+    bound = scatter_failure_bound(hg.n, s, k)
+    fields = {"host_text": format_hypergraph(hg), "s": s, "k": k,
+              "failure_bound": _fraction_str(bound),
+              "failure_bound_float": float(bound)}
+    if args.trials:
+        rejected, trials = scatter_rejection_trials(hg, s, args.trials,
+                                                    seed=args.seed)
+        fields.update(trials=trials, rejected=rejected,
+                      empirical_rate=rejected / trials)
+    sample = sample_scattered_subset(hg, s, seed=args.seed,
+                                     max_attempts=args.max_attempts)
+    fields["found"] = sample is not None
+    if sample is not None:
+        fields.update(subset=list(sample.subset), attempts=sample.attempts)
+    if claim is not None and claim["found"]:
+        subset = set(claim["subset"])
+        if (len(claim["subset"]) != s or len(subset) != s
+                or any(type(v) is not int or not 1 <= v <= hg.n
+                       for v in subset)):
+            raise VerificationFailure(f"subset is not {s} distinct vertices "
+                                      f"in 1..{hg.n}")
+        worst = max(len(subset.intersection(e)) for e in hg.edges)
+        if worst > 2:
+            raise VerificationFailure(f"some hyperedge meets the subset in "
+                                      f"{worst} vertices")
+    return fields
 
 
-def cmd_reduce_product(args):
+def _product_fields(args, text, claim=None):
+    """Row v - 2 of the color matrix lists the colors of the pairs (u, v),
+    u < v."""
     from .hypergraph import format_coloring, format_hypergraph
-    hg, coloring = _load_host_and_coloring(args)
-    _emit_json(_record("product-reduction", args,
-                       host_text=format_hypergraph(hg),
-                       coloring_text=format_coloring(coloring),
-                       **_product_fields(hg, coloring)), args.output)
-    return EXIT_OK
+    from .reductions import multicolor_product_reduction
+    hg, coloring = _host_and_coloring(args, text)
+    red = multicolor_product_reduction(hg, coloring)
+    matrix = [[red.pair_color[(u, v)] for u in range(1, v)]
+              for v in range(2, red.n + 1)]
+    provenance = [[u, v, ie, label]
+                  for (u, v), (ie, label) in sorted(red.provenance.items())]
+    return {"host_text": format_hypergraph(hg),
+            "coloring_text": format_coloring(coloring), "n": red.n,
+            "palette_size": red.palette_size,
+            "label_count": red.label_count, "color_matrix_lower": matrix,
+            "provenance": provenance}
 
 
 def _bound_report(args):
@@ -312,10 +308,10 @@ def _bound_report(args):
     return asymptotic_lower(args.a)
 
 
-def _bound_fields(report):
-    """The bound-report fields of a BoundReport; a Fraction value as
-    "p/q"."""
+def _bound_fields(args, text=None, claim=None):
+    """A Fraction value as "p/q"."""
     from fractions import Fraction
+    report = _bound_report(args)
     value = report.value
     return {"formula_id": report.formula_id, "inputs": report.inputs,
             "value": (_fraction_str(value) if isinstance(value, Fraction)
@@ -323,23 +319,113 @@ def _bound_fields(report):
             "satisfied": report.satisfied, "notes": list(report.notes)}
 
 
-def cmd_bound(args):
-    report = _bound_report(args)
+# command -> the type of record it writes, and its field function
+_FIELDS = {
+    "check-covering": ("covering-check", _covering_fields),
+    "find-berge": ("berge-certificate", _berge_fields),
+    "unavoidable": ("unavoidability-result", _unavoidable_fields),
+    "mt-lll": ("lower-bound-certificate", _mt_lll_fields),
+    "certify-lower": ("lower-bound-certificate", _certify_lower_fields),
+    "scatter": ("scatter-sample", _scatter_fields),
+    "reduce-product": ("product-reduction", _product_fields),
+    "bound": ("bound-report", _bound_fields),
+}
+
+
+def _record(args, fields):
+    """The JSON record of the command line `args`, with its manifest."""
+    return {"record": _FIELDS[args.command][0], "manifest": _manifest(args),
+            **fields}
+
+
+# -- subcommands --------------------------------------------------------------
+
+
+def cmd_gen_design(args):
+    from .designs import (construct_resolvable_bibd, format_design,
+                          verify_resolvable_bibd)
+    design = construct_resolvable_bibd(args.n, args.k)
+    report = verify_resolvable_bibd(design)
+    if not report.ok():
+        raise VerificationFailure(
+            f"constructed design failed its own verifier: "
+            f"{report.violations[0].detail}")
+    _emit_text(_text_file("design", args, format_design(design)),
+               args.output)
+    return EXIT_OK
+
+
+def cmd_check_covering(args):
+    fields = _covering_fields(args, _input_files(args))
     if args.format == "structured":
-        _emit_json(_record("bound-report", args, **_bound_fields(report)),
-                   args.output)
+        _emit_json(_record(args, fields), args.output)
     else:
-        _emit_text(report.render(), args.output)
+        _emit_text(f"covering: {fields['covering']} (n={fields['n']}, "
+                   f"m={fields['m']}, min co-degree "
+                   f"{fields['min_codegree']})\n", args.output)
+    return EXIT_OK
+
+
+def cmd_find_berge(args):
+    _emit_json(_record(args, _berge_fields(args, _input_files(args))),
+               args.output)
+    return EXIT_OK
+
+
+def cmd_unavoidable(args):
+    fields = _unavoidable_fields(args, _input_files(args))
+    if args.format == "structured" or args.output:
+        _emit_json(_record(args, fields), args.output)
+    else:
+        line = (f"{fields['verdict']} after {fields['colorings_examined']} "
+                f"colorings")
+        if "witness" in fields:
+            line += f"; witness {fields['witness']}"
+        _emit_text(line + "\n", args.output)
+    return EXIT_OK
+
+
+def cmd_mt_lll(args):
+    fields = _mt_lll_fields(args, _input_files(args))
+    if fields["coloring_text"] is None:
+        print(f"no good coloring within {fields['resamples']} resamples",
+              file=sys.stderr)
+        return EXIT_LIMIT
+    if args.coloring_out:
+        _emit_text(_text_file("coloring", args, fields["coloring_text"]),
+                   args.coloring_out)
+    _emit_json(_record(args, fields), args.output)
+    return EXIT_OK
+
+
+def cmd_scatter(args):
+    fields = _scatter_fields(args, _input_files(args))
+    _emit_json(_record(args, fields), args.output)
+    if not fields["found"]:
+        print(f"no scattered subset within {args.max_attempts} attempts",
+              file=sys.stderr)
+        return EXIT_LIMIT
+    return EXIT_OK
+
+
+def cmd_reduce_product(args):
+    _emit_json(_record(args, _product_fields(args, _input_files(args))),
+               args.output)
+    return EXIT_OK
+
+
+def cmd_bound(args):
+    if args.format == "structured":
+        _emit_json(_record(args, _bound_fields(args)), args.output)
+    else:
+        _emit_text(_bound_report(args).render(), args.output)
     return EXIT_OK
 
 
 def cmd_certify_lower(args):
-    from .search import lower_bound_certificate
-    hg, coloring = _load_host_and_coloring(args)
-    cert = lower_bound_certificate(hg, coloring, args.t)
-    _emit_json(_record("lower-bound-certificate", args, **cert._asdict()),
-               args.output)
-    print(cert.statement, file=sys.stderr)
+    fields = _certify_lower_fields(args, _input_files(args))
+    _emit_json(_record(args, fields), args.output)
+    print(fields["statement"], file=sys.stderr)
     return EXIT_OK
 
 
@@ -359,101 +445,13 @@ def _mismatch(record, recomputed):
     return None
 
 
-def _verify_berge_record(record):
-    from .berge import (BergeCertificate, find_berge, parse_target,
-                        verify_certificate)
-    from .hypergraph import parse_coloring, parse_hypergraph
-    hg = parse_hypergraph(record["host_text"])
-    target = parse_target(record["target_text"])
-    color = record.get("color")
-    if (color is None) != ("coloring_text" not in record):
-        raise ValueError("malformed berge-certificate record: 'color' and "
-                         "'coloring_text' must be given together")
-    coloring = None
-    if "coloring_text" in record:
-        coloring = parse_coloring(record["coloring_text"], hg.num_edges)
-    if not record.get("found"):
-        # an absence claim is checked by running the recorded search again
-        if find_berge(hg, target, coloring, color) is not None:
-            return False, ("absence claim refuted: the recorded search "
-                           "finds a copy")
-        return True, "absence re-verified: the recorded search finds no copy"
-    cert = BergeCertificate(
-        tuple(tuple(p) for p in record["vertex_map"]),
-        tuple(tuple(p) for p in record["edge_map"]))
-    result = verify_certificate(hg, target, cert, coloring, color)
-    return bool(result), result.reason or "certificate verifies"
-
-
-def _verify_lower_bound_record(record):
-    from .hypergraph import format_coloring, parse_coloring, parse_hypergraph
-    from .search import lower_bound_certificate, moser_tardos_coloring
-    hg = parse_hypergraph(record["host_text"])
-    coloring = parse_coloring(record["coloring_text"], hg.num_edges)
-    try:
-        cert = lower_bound_certificate(hg, coloring, record["t"])
-    except VerificationFailure as exc:
-        return False, str(exc)
-    problem = _mismatch(record, cert._asdict())
-    if not problem and ("resamples" in record
-                        or record["manifest"]["subcommand"] == "mt-lll"):
-        # an mt-lll run is re-run: its coloring and resample count must
-        # be the ones the recorded seed and resample limit give
-        args = _recorded_args(record, "mt-lll")
-        run = moser_tardos_coloring(hg, record["t"], seed=args.seed,
-                                    max_resamples=args.max_resamples)
-        problem = _mismatch(record, {
-            "coloring_text": run.coloring and format_coloring(run.coloring),
-            "resamples": run.resamples})
-    return not problem, problem or cert.statement
-
-
-def _verify_unavoidability_record(record):
-    from .berge import contains_mono_berge, parse_target
-    from .hypergraph import parse_coloring, parse_hypergraph
-    from .search import AVOIDABLE, UNAVOIDABLE, avoidable_counters
-    hg = parse_hypergraph(record["host_text"])
-    g1 = parse_target(record["g1_text"])
-    g2 = parse_target(record["g2_text"])
-    if record["verdict"] not in (AVOIDABLE, UNAVOIDABLE):
-        raise ValueError(f"malformed unavoidability-result record: unknown "
-                         f"verdict {record['verdict']!r}")
-    if record["verdict"] == AVOIDABLE:
-        coloring = parse_coloring(record["witness"] + "\n", hg.num_edges)
-        hit = contains_mono_berge(hg, coloring, g1, g2)
-        if hit is not None:
-            return False, f"witness contains a monochromatic target: {hit[0]}"
-        # version 0.1.0 visited colorings in Gray-code order; later ones
-        # in binary order, where the witness and argv fix the counters
-        if record["manifest"]["version"] != "0.1.0":
-            args = _recorded_args(record, "unavoidable")
-            counters = avoidable_counters(hg, g1, g2, coloring, args.shard,
-                                          _shard_bits(args))
-            if counters is None:
-                return False, ("witness extends no shard prefix of the "
-                               "recorded run")
-            examined, spec = counters
-            problem = _mismatch(record, {"colorings_examined": examined,
-                                         "shard": spec})
-            if problem:
-                return False, problem
-        return True, "witness re-verified (avoids both targets)"
-    # the search is re-run as recorded, its shards by one worker
-    args = _recorded_args(record, "unavoidable")
-    result = _unavoidability(hg, g1, g2, args, _shard_bits(args), 1)
-    problem = _mismatch(record, {
-        "verdict": result.verdict,
-        "colorings_examined": result.colorings_examined,
-        "shard": result.shard_spec})
-    return not problem, problem or ("UNAVOIDABLE verdicts re-verify only "
-                                    "by re-running the search")
-
-
-def _recorded_args(record, command):
+def _recorded_args(record, kind):
     """The arguments of the run that wrote `record`, parsed from its
-    manifest argv by the parser that run used; the manifest seed must be
-    the argv's --seed, or null for a command that takes no seed."""
+    manifest argv by the parser that run used, for a command that writes
+    records of type `kind`; the manifest seed must be the argv's --seed,
+    or null for a command that takes no seed."""
     argv = record["manifest"]["argv"]
+    commands = [c for c, (writes, _) in _FIELDS.items() if writes == kind]
     args = None
     if type(argv) is list and all(type(a) is str for a in argv):
         sink = io.StringIO()  # argparse reports a bad argv by printing
@@ -463,68 +461,40 @@ def _recorded_args(record, command):
                 args = build_parser().parse_args(argv)
         except SystemExit:
             pass
-    if args is None or args.command != command:
-        raise ValueError(f"malformed {record['record']} record: argv "
-                         f"{reprlib.repr(argv)} is not a {command} command")
+    if args is None or args.command not in commands:
+        raise ValueError(f"malformed {kind} record: argv "
+                         f"{reprlib.repr(argv)} is not a "
+                         f"{' or '.join(commands)} command")
     seed, want = record["manifest"]["seed"], _seed(args)
     if seed is not want and (type(seed) is not int or seed != want):
         wanted = ("null, as the command takes no --seed" if want is None
                   else f"the argv's --seed {want}")
-        raise ValueError(f"malformed {record['record']} record: seed "
+        raise ValueError(f"malformed {kind} record: seed "
                          f"{reprlib.repr(seed)} is not {wanted}")
     return args
 
 
-def _verify_scatter_record(record):
-    from .hypergraph import parse_hypergraph
-    hg = parse_hypergraph(record["host_text"])
-    s = record["s"]
-    args = _recorded_args(record, "scatter")
-    fields = _scatter_fields(hg, s, args.seed, record.get("trials", 0),
-                             args.max_attempts)
-    if {"rejected", "empirical_rate"} & record.keys() - fields.keys():
-        raise ValueError("malformed scatter-sample record: rejection "
-                         "counts without a positive 'trials'")
-    # checked before the re-derived fields, so a bad subset is named as such
-    if record["found"]:
-        subset = set(record["subset"])
-        if (len(record["subset"]) != s or len(subset) != s
-                or any(type(v) is not int or not 1 <= v <= hg.n
-                       for v in subset)):
-            return False, f"subset is not {s} distinct vertices in 1..{hg.n}"
-        worst = max(len(subset.intersection(e)) for e in hg.edges)
-        if worst > 2:
-            return False, (f"some hyperedge meets the subset in {worst} "
-                           f"vertices")
-    problem = _mismatch(record, fields)
-    if problem:
-        return False, problem
-    if not record["found"]:
-        return True, (f"absence re-derived: no scattered subset within "
-                      f"{args.max_attempts} attempts")
-    return True, "subset is scattered"
-
-
-def _verify_product_record(record):
-    from .hypergraph import parse_coloring, parse_hypergraph
-    hg = parse_hypergraph(record["host_text"])
-    coloring = parse_coloring(record["coloring_text"], hg.num_edges)
-    problem = _mismatch(record, _product_fields(hg, coloring))
-    return (not problem,
-            problem or "reduction reproduces from host and coloring")
-
-
-def _verify_bound_record(record):
-    args = _recorded_args(record, "bound")
-    problem = _mismatch(record, _bound_fields(_bound_report(args)))
-    return not problem, problem or "bound re-derived from the recorded argv"
-
-
-def _verify_covering_record(record):
-    from .hypergraph import parse_hypergraph
-    hg = parse_hypergraph(record["host_text"])
-    problem = _mismatch(record, _covering_fields(hg))
-    return not problem, problem or "covering check reproduces from host"
+# the line `verify` prints for a record of each type that checks out
+_VERIFIED = {
+    "covering-check": lambda record, args: (
+        "covering check reproduces from host"),
+    "berge-certificate": lambda record, args: (
+        "certificate verifies" if record["found"] else
+        "absence re-verified: the recorded search finds no copy"),
+    "unavoidability-result": lambda record, args: (
+        "witness re-verified (avoids both targets)"
+        if record["verdict"] == "AVOIDABLE" else
+        "UNAVOIDABLE verdicts re-verify only by re-running the search"),
+    "lower-bound-certificate": lambda record, args: record["statement"],
+    "scatter-sample": lambda record, args: (
+        "subset is scattered" if record["found"] else
+        f"absence re-derived: no scattered subset within "
+        f"{args.max_attempts} attempts"),
+    "product-reduction": lambda record, args: (
+        "reduction reproduces from host and coloring"),
+    "bound-report": lambda record, args: (
+        "bound re-derived from the recorded argv"),
+}
 
 
 def _json_record(text):
@@ -556,21 +526,24 @@ def cmd_verify(args):
     if first.lstrip().startswith("{"):
         record = _json_record(text)
         kind = record.get("record")
-        handlers = {
-            "berge-certificate": _verify_berge_record,
-            "lower-bound-certificate": _verify_lower_bound_record,
-            "unavoidability-result": _verify_unavoidability_record,
-            "scatter-sample": _verify_scatter_record,
-            "product-reduction": _verify_product_record,
-            "bound-report": _verify_bound_record,
-            "covering-check": _verify_covering_record,
-        }
         try:
-            if kind not in handlers:
+            if kind not in _VERIFIED:
                 raise ValueError(f"unknown record type {kind!r}")
-            ok, message = handlers[kind](record)
+            # the record is re-derived from its embedded inputs under its
+            # argv; a field the argv does not write is malformed
+            run = _recorded_args(record, kind)
+            fields = _FIELDS[run.command][1](
+                run, lambda role: record[role + "_text"], record)
+            problem = _mismatch(record, fields)
+            extra = record.keys() - fields.keys() - {"record", "manifest"}
+            if extra and not problem:
+                raise ValueError(f"malformed {kind} record: its argv writes "
+                                 f"no field {min(extra)!r}")
+            ok, message = not problem, problem or _VERIFIED[kind](record, run)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed {kind} record: {exc!r}") from exc
+        except VerificationFailure as exc:
+            ok, message = False, str(exc)
     else:
         if text.startswith("# coverramsey coloring\n"):
             raise ValueError(f"{args.file} is a coloring sidecar, which "

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -58,6 +59,16 @@ class TestGenDesign:
     def test_unsupported_parameters_exit_1(self, files):
         assert run("gen-design", "7", "3") == 1
 
+    def test_design_that_fails_its_audit_exit_3(self, files, capsys):
+        # D(4,2) without its third parallel class
+        bad = files["dir"] / "bad.design"
+        bad.write_text("4 2 2\n1 2\n3 4\n%\n1 3\n2 4\n")
+        assert run("verify", bad) == 3
+        assert capsys.readouterr().out == (
+            "PAIR_COUNT_FAIL: pair (1, 4) covered 0 times; "
+            "PAIR_COUNT_FAIL: pair (2, 3) covered 0 times; "
+            "CLASS_COUNT_FAIL: 2 classes, expected (n-1)/(k-1) = 3\n")
+
     def test_byte_identical_reruns(self, files):
         a = files["dir"] / "a.design"
         b = files["dir"] / "b.design"
@@ -66,6 +77,22 @@ class TestGenDesign:
         a_txt = a.read_text().replace(str(a), "OUT")
         b_txt = b.read_text().replace(str(b), "OUT")
         assert a_txt == b_txt
+
+
+@pytest.mark.parametrize("argv,target,strerror", [
+    (["bound", "thm1", "3", "6", "-o"], "{missing}",
+     "No such file or directory"),
+    (["gen-design", "9", "3", "-o"], "{dir}", "Is a directory"),
+    (["mt-lll", "{fano}", "4", "-o", "{record}", "--coloring-out"],
+     "{missing}", "No such file or directory")],
+    ids=["bound", "gen-design", "mt-lll"])
+def test_unwritable_output_exit_1(files, capsys, argv, target, strerror):
+    paths = {**files, "missing": files["dir"] / "no" / "x.txt",
+             "record": files["dir"] / "lb.json"}
+    path = target.format(**paths)
+    assert run(*(a.format(**paths) for a in argv), path) == 1
+    assert error_lines(capsys) == [f"error: cannot write {path}: {strerror}"]
+    assert not paths["record"].exists()  # the sidecar is written first
 
 
 class TestCheckCovering:
@@ -126,6 +153,8 @@ class TestFindBerge:
     @pytest.mark.parametrize("drop", ["coloring_text", "color"])
     def test_color_claim_without_coloring_is_malformed(self, files, capsys,
                                                        drop):
+        # the argv's --coloring and --color decide: without its coloring
+        # text the record is malformed, and a null color is a mismatch
         out = files["dir"] / "cert.json"
         assert run("find-berge", files["fano"], files["k3"],
                    "--coloring", files["fano_blue"], "--color", "0",
@@ -137,10 +166,15 @@ class TestFindBerge:
             del record["coloring_text"]
         out.write_text(json.dumps(record))
         capsys.readouterr()
-        assert run("verify", out) == 1
-        assert error_lines(capsys) == [
-            "error: malformed berge-certificate record: 'color' and "
-            "'coloring_text' must be given together"]
+        if drop == "color":
+            assert run("verify", out) == 3
+            assert capsys.readouterr().out == (
+                "color mismatch: recomputed 0, recorded None\n")
+        else:
+            assert run("verify", out) == 1
+            assert error_lines(capsys) == [
+                "error: malformed berge-certificate record: "
+                "KeyError('coloring_text')"]
 
     @pytest.mark.parametrize("host,coloring", [
         ("k4", None), ("fano", None), ("fano", "fano_blue")])
@@ -495,6 +529,8 @@ class TestMtLllAndCertify:
         assert run("mt-lll", d9, "4", "-o", out) == 0
         record = json.loads(out.read_text())
         record.update(t=1, statement="R̂³(BK₁,BK₁) ≥ 10")
+        argv = record["manifest"]["argv"]
+        argv[argv.index("4")] = "1"
         out.write_text(json.dumps(record))
         capsys.readouterr()
         assert run("verify", out) == 1
@@ -699,6 +735,8 @@ class TestScatter:
         assert run("scatter", files["fano"], "3", "-o", out) == 0
         record = json.loads(out.read_text())
         record["s"] = -1
+        record["manifest"]["argv"].remove("3")
+        record["manifest"]["argv"] += ["--", "-1"]
         out.write_text(json.dumps(record))
         capsys.readouterr()
         assert run("verify", out) == 1
@@ -809,7 +847,7 @@ class TestScatter:
 
 
     @pytest.mark.parametrize("field,value,message", [
-        ("trials", 7, "rejected mismatch: recomputed 3, recorded 12"),
+        ("trials", 7, "trials mismatch: recomputed 50, recorded 7"),
         ("rejected", 999, "rejected mismatch: recomputed 12, recorded 999"),
         ("empirical_rate", 5.0,
          "empirical_rate mismatch: recomputed 0.24, recorded 5.0"),
@@ -838,8 +876,7 @@ class TestScatter:
         capsys.readouterr()
         assert run("verify", out) == 1
         assert error_lines(capsys) == [
-            "error: malformed scatter-sample record: rejection counts "
-            "without a positive 'trials'"]
+            "error: malformed scatter-sample record: KeyError('trials')"]
 
 
 class TestReduceProduct:
@@ -968,7 +1005,8 @@ class TestBound:
 
 
 class TestEveryRecordVerifies:
-    """Each JSON record a command line writes is one `verify` re-checks."""
+    """Each file a command line writes is one `verify` re-checks, and a
+    JSON record with a field its argv does not write is malformed."""
 
     @pytest.fixture()
     def d9(self, files):
@@ -983,6 +1021,7 @@ class TestEveryRecordVerifies:
         col = files["dir"] / "d9.col"
         paths = {**files, "d9": d9, "k5t": k5, "d9col": col}
         argvs = [
+            ["gen-design", "9", "3"],
             ["find-berge", "{fano}", "{k4}"],
             ["find-berge", "{fano}", "{k5t}"],
             ["find-berge", "{fano}", "{k3}", "--coloring", "{fano_blue}",
@@ -999,12 +1038,26 @@ class TestEveryRecordVerifies:
             ["check-covering", "{d9}", "--format", "structured"],
         ] + [["bound", *argv, "--format", "structured"]
              for argv in BOUND_ARGVS]
+        # every command but verify itself writes a file that verify reads
+        commands = next(action for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        assert {argv[0] for argv in argvs} == commands.choices.keys() - {
+            "verify"}
         for i, argv in enumerate(argvs):
             out = files["dir"] / f"rec{i}.json"
             assert run(*(a.format(**paths) for a in argv),
                        "-o", out) in (0, 2), argv
             capsys.readouterr()
             assert run("verify", out) == 0, (argv, capsys.readouterr())
+            if argv[0] == "gen-design":
+                continue
+            capsys.readouterr()
+            record = json.loads(out.read_text())
+            out.write_text(json.dumps({**record, "extra": 1}))
+            assert run("verify", out) == 1, argv
+            assert error_lines(capsys, stdout="") == [
+                f"error: malformed {record['record']} record: its argv "
+                f"writes no field 'extra'"], argv
 
     def test_covering_check_record_is_re_derived(self, files, capsys):
         out = files["dir"] / "cover.json"
@@ -1023,6 +1076,70 @@ class TestEveryRecordVerifies:
             assert capsys.readouterr().out == (
                 f"{field} mismatch: recomputed {recomputed}, "
                 f"recorded {value}\n")
+
+
+class TestArgvDecides:
+    """`verify` reads every run parameter from the manifest argv, never
+    from the record, so a record re-derived for other parameters fails."""
+
+    @pytest.fixture()
+    def paths(self, files):
+        d9 = files["dir"] / "d9.hg"
+        d9.write_text(format_hypergraph(
+            design_to_hypergraph(construct_resolvable_bibd(9, 3))))
+        col = files["dir"] / "d9.col"
+        assert run("mt-lll", d9, "4", "--coloring-out", col) == 0
+        return {**files, "d9": d9, "d9col": col}
+
+    @pytest.mark.parametrize("argv,old,new,message", [
+        (["scatter", "{k6}", "4"], "4", "5",
+         "subset is not 5 distinct vertices in 1..6"),
+        (["mt-lll", "{d9}", "3"], "3", "4",
+         "t mismatch: recomputed 4, recorded 3"),
+        (["certify-lower", "{d9}", "{d9col}", "4"], "4", "3",
+         "monochromatic Berge-K_3 on (1, 2, 9) in color 0"),
+        (["find-berge", "{fano}", "{k3}", "--coloring", "{fano_blue}",
+          "--color", "0"], "0", "1", "COLOR_FAIL")],
+        ids=["scatter-s", "mt-lll-t", "certify-lower-t", "find-berge-color"])
+    def test_record_under_another_argv_exit_3(self, paths, capsys, argv, old,
+                                              new, message):
+        out = paths["dir"] / "rec.json"
+        assert run(*(a.format(**paths) for a in argv), "-o", out) == 0
+        record = json.loads(out.read_text())
+        recorded = record["manifest"]["argv"]
+        recorded[recorded.index(old)] = new
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 3
+        assert capsys.readouterr().out == message + "\n"
+
+    def test_trial_fields_of_other_trials_exit_3(self, files, capsys):
+        # a --trials 50 record holding the counts of a --trials 10 run
+        out, ten = files["dir"] / "scatter.json", files["dir"] / "ten.json"
+        assert run("scatter", files["fano"], "3", "--trials", "10",
+                   "-o", ten) == 0
+        assert run("scatter", files["fano"], "3", "--trials", "50",
+                   "-o", out) == 0
+        record = json.loads(out.read_text())
+        for field in ("trials", "rejected", "empirical_rate"):
+            record[field] = json.loads(ten.read_text())[field]
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 3
+        assert capsys.readouterr().out == (
+            "trials mismatch: recomputed 50, recorded 10\n")
+
+    def test_trial_fields_stripped_are_malformed(self, files, capsys):
+        out = files["dir"] / "scatter.json"
+        assert run("scatter", files["fano"], "3", "--trials", "50",
+                   "-o", out) == 0
+        record = json.loads(out.read_text())
+        del record["trials"], record["rejected"], record["empirical_rate"]
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 1
+        assert error_lines(capsys, stdout="") == [
+            "error: malformed scatter-sample record: KeyError('trials')"]
 
 
 class TestVerifyDispatch:

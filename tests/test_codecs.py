@@ -254,13 +254,17 @@ def _verify_file(tmp_path, fmt, seed, text):
     if fmt in ("host", "design"):
         body = text
     elif fmt == "target":
-        body = json.dumps({"record": "berge-certificate", "manifest": {},
+        body = json.dumps({"record": "berge-certificate",
+                           "manifest": {"argv": ["find-berge", "h", "g"],
+                                        "seed": None},
                            "host_text": format_hypergraph(fano()),
                            "target_text": text, "color": None,
                            "found": False})
     else:
         hg = _host(random.Random(f"codec:coloring:{seed}"))
-        body = json.dumps({"record": "product-reduction", "manifest": {},
+        body = json.dumps({"record": "product-reduction",
+                           "manifest": {"argv": ["reduce-product", "h", "c"],
+                                        "seed": None},
                            "host_text": format_hypergraph(hg),
                            "coloring_text": text})
     path = tmp_path / f"bad.{fmt}"
@@ -270,7 +274,7 @@ def _verify_file(tmp_path, fmt, seed, text):
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_verify_reports_each_malformed_file(tmp_path, capsys, fmt):
-    for case_fmt, seed, name, text, _, _, _ in _malformed_cases():
+    for case_fmt, seed, name, text, _, message, _ in _malformed_cases():
         if case_fmt != fmt:
             continue
         path = _verify_file(tmp_path, fmt, seed, text)
@@ -280,4 +284,8 @@ def test_verify_reports_each_malformed_file(tmp_path, capsys, fmt):
         errors = [ln for ln in captured.err.splitlines()
                   if ln.startswith("error:")]
         assert len(errors) == 1, (seed, name, captured.err)
+        # a host or design file is typed by its header, which a case may
+        # break; an embedded text is read as its record's argv says
+        if fmt in ("target", "coloring"):
+            assert errors == [f"error: {message}"], (seed, name)
         assert captured.out == ""

@@ -203,6 +203,13 @@ class TestConstruction:
         assert repr(a) == "EdgeColoring(colors=(0, 1, 1))"
         assert len(a) == 3 and a.indices_of(1) == (1, 2)
 
+    def test_hypergraph_is_a_value(self):
+        a = Hypergraph(7, fano().edges)
+        b = Hypergraph(7, reversed(fano().edges))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert repr(a) == "Hypergraph(n=7, m=7, R=[3])"
+        assert a != a.edges and a.__eq__(a.edges) is NotImplemented
+
 
 class TestTextFormat:
     def test_round_trip_fano(self):

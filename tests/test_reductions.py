@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import random
@@ -11,6 +12,7 @@ from coverramsey import (EdgeColoring, Hypergraph, ScatterSample,
                          VerificationFailure, complete_graph, complete_host,
                          construct_resolvable_bibd, cycle_graph,
                          design_to_hypergraph, find_mono_subgraph,
+                         format_coloring, format_hypergraph,
                          lift_mono_subgraph, lift_trace_subgraph,
                          lower_bound_certificate,
                          multicolor_product_reduction, path_graph,
@@ -341,13 +343,17 @@ class TestLiftDigest:
         def put(*items):
             digest.update(repr(items).encode() + b"\n")
 
+        args = argparse.Namespace(coloring="coloring")
         traces = lifts = failures = 0
         for i, hg in enumerate(hosts):
             for p in (0.5, 0.2):
                 coloring = EdgeColoring(tuple(int(rng.random() < p)
                                               for _ in hg.edges))
-                put(json.dumps(_product_fields(hg, coloring),
-                               sort_keys=True))
+                fields = _product_fields(args, {
+                    "host": format_hypergraph(hg),
+                    "coloring": format_coloring(coloring)}.get)
+                del fields["host_text"], fields["coloring_text"]
+                put(json.dumps(fields, sort_keys=True))
                 routes = [(multicolor_product_reduction(hg, coloring),
                            lift_mono_subgraph)]
                 sample = sample_scattered_subset(
