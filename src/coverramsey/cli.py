@@ -46,18 +46,14 @@ def _read(args, path):
     return data.decode("utf-8")
 
 
-def _seed(args):
-    """The seed of a run: its --seed, or None for a command without one."""
-    return getattr(args, "seed", None)
-
-
 def _manifest(args):
+    """The manifest of a run; its seed is None for a command without one."""
     return {
         "tool": "coverramsey",
         "version": __version__,
         "subcommand": args.command,
         "argv": args._argv,
-        "seed": _seed(args),
+        "seed": getattr(args, "seed", None),
         "inputs": args._inputs,
     }
 
@@ -125,6 +121,23 @@ def _covering_fields(args, text, claim=None):
             "covering": hg.is_covering(), "min_codegree": hg.min_codegree()}
 
 
+def _failing_edge(hg, target, cert, coloring, color, reason):
+    """The first target edge whose image fails `reason`, named after ': ',
+    for CONTAINMENT_FAIL and COLOR_FAIL; '' for another reason."""
+    from .berge import COLOR_FAIL, CONTAINMENT_FAIL
+    vmap, emap = cert.vertex_dict(), cert.edge_dict()
+    for ei, (u, v) in enumerate(target.edges):
+        b, pair = emap[ei], (vmap[u], vmap[v])
+        if reason == CONTAINMENT_FAIL and not set(pair) <= set(hg.edges[b]):
+            return (f": target edge {ei} ({u}, {v}) maps to the host pair "
+                    f"{pair}, which its hyperedge {b} misses")
+        if reason == COLOR_FAIL and coloring.colors[b] != color:
+            return (f": target edge {ei} ({u}, {v}) is on hyperedge {b} of "
+                    f"color {coloring.colors[b]}, not the argv's --color "
+                    f"{color}")
+    return ""
+
+
 def _berge_fields(args, text, claim=None):
     """A claimed copy is checked by `verify_certificate`, with no search;
     a claimed absence is searched for again."""
@@ -140,7 +153,8 @@ def _berge_fields(args, text, claim=None):
         cert = BergeCertificate(claim["vertex_map"], claim["edge_map"])
         result = verify_certificate(hg, target, cert, coloring, args.color)
         if not result:
-            raise VerificationFailure(result.reason)
+            raise VerificationFailure(result.reason + _failing_edge(
+                hg, target, cert, coloring, args.color, result.reason))
     else:
         cert = find_berge(hg, target, coloring, args.color)
         if claim is not None and cert is not None:
@@ -191,11 +205,7 @@ def _unavoidable_fields(args, text, claim=None):
         if hit is not None:
             raise VerificationFailure(f"witness contains a monochromatic "
                                       f"target: {hit[0]}")
-        # version 0.1.0 visited colorings in Gray-code order; later ones
-        # in binary order, where the witness and argv fix the counters
-        counters = ((claim["colorings_examined"], claim["shard"])
-                    if claim["manifest"]["version"] == "0.1.0" else
-                    avoidable_counters(hg, g1, g2, witness, args.shard, bits))
+        counters = avoidable_counters(hg, g1, g2, witness, args.shard, bits)
         if counters is None:
             raise VerificationFailure("witness extends no shard prefix of "
                                       "the recorded run")
@@ -216,16 +226,17 @@ def _unavoidable_fields(args, text, claim=None):
 
 def _mt_lll_fields(args, text, claim=None):
     """With no good coloring within the resample limit, only
-    `coloring_text` (None) and `resamples`."""
+    `coloring_text` (None) and `resamples`.  The run's last bad-event scan,
+    which found none, is the certificate's proof."""
     from .hypergraph import parse_hypergraph
-    from .search import lower_bound_certificate, moser_tardos_coloring
+    from .search import moser_tardos_coloring, package_lower_bound
     hg = parse_hypergraph(text("host"))
     run = moser_tardos_coloring(hg, args.t, seed=args.seed,
                                 max_resamples=args.max_resamples)
     if run.coloring is None:
         return {"coloring_text": None, "resamples": run.resamples}
-    return {**lower_bound_certificate(hg, run.coloring, args.t)._asdict(),
-            "resamples": run.resamples}
+    cert = package_lower_bound(hg, run.coloring, args.t, "bad-event-scan")
+    return {**cert._asdict(), "resamples": run.resamples}
 
 
 def _certify_lower_fields(args, text, claim=None):
@@ -236,8 +247,7 @@ def _certify_lower_fields(args, text, claim=None):
 
 def _scatter_fields(args, text, claim=None):
     """The trial fields only under --trials, `subset` and `attempts` only
-    when a sample is found.  A claimed subset is checked before `verify`
-    compares the fields, so that a bad one is named as such."""
+    when a sample is found."""
     from .hypergraph import format_hypergraph, parse_hypergraph
     from .reductions import (sample_scattered_subset, scatter_failure_bound,
                              scatter_rejection_trials)
@@ -257,17 +267,6 @@ def _scatter_fields(args, text, claim=None):
     fields["found"] = sample is not None
     if sample is not None:
         fields.update(subset=list(sample.subset), attempts=sample.attempts)
-    if claim is not None and claim["found"]:
-        subset = set(claim["subset"])
-        if (len(claim["subset"]) != s or len(subset) != s
-                or any(type(v) is not int or not 1 <= v <= hg.n
-                       for v in subset)):
-            raise VerificationFailure(f"subset is not {s} distinct vertices "
-                                      f"in 1..{hg.n}")
-        worst = max(len(subset.intersection(e)) for e in hg.edges)
-        if worst > 2:
-            raise VerificationFailure(f"some hyperedge meets the subset in "
-                                      f"{worst} vertices")
     return fields
 
 
@@ -448,9 +447,11 @@ def _mismatch(record, recomputed):
 def _recorded_args(record, kind):
     """The arguments of the run that wrote `record`, parsed from its
     manifest argv by the parser that run used, for a command that writes
-    records of type `kind`; the manifest seed must be the argv's --seed,
-    or null for a command that takes no seed."""
-    argv = record["manifest"]["argv"]
+    records of type `kind`.  The manifest must be the one that run writes,
+    but for its `version` and `inputs`, which only inform: the digests hash
+    the raw input files, which the canonical embedded texts do not keep."""
+    manifest = record["manifest"]
+    argv = manifest["argv"]
     commands = [c for c, (writes, _) in _FIELDS.items() if writes == kind]
     args = None
     if type(argv) is list and all(type(a) is str for a in argv):
@@ -465,12 +466,13 @@ def _recorded_args(record, kind):
         raise ValueError(f"malformed {kind} record: argv "
                          f"{reprlib.repr(argv)} is not a "
                          f"{' or '.join(commands)} command")
-    seed, want = record["manifest"]["seed"], _seed(args)
-    if seed is not want and (type(seed) is not int or seed != want):
-        wanted = ("null, as the command takes no --seed" if want is None
-                  else f"the argv's --seed {want}")
-        raise ValueError(f"malformed {kind} record: seed "
-                         f"{reprlib.repr(seed)} is not {wanted}")
+    args._argv, args._inputs = argv, manifest["inputs"]
+    want = {**_manifest(args), "version": manifest["version"]}
+    extra = manifest.keys() - want.keys()
+    problem = _mismatch(manifest, want) or (
+        f"field {min(extra)!r} is unknown" if extra else None)
+    if problem:
+        raise ValueError(f"malformed {kind} record: manifest {problem}")
     return args
 
 

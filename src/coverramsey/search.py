@@ -389,8 +389,9 @@ def lower_bound_certificate(hg, coloring, t):
     """Re-verify that the coloring avoids monochromatic Berge-K_t in both
     colors and package the result as a standalone certificate.
 
-    Linear hosts are checked by an exhaustive bad-event scan (equivalent
-    on such hosts); general covering hosts by the Berge search itself.
+    Linear hosts (each pair in one hyperedge, as Moser-Tardos requires)
+    are checked by an exhaustive bad-event scan (equivalent on such
+    hosts); general covering hosts by the Berge search itself.
     K_t is built only when it fits in the host: with t > n no copy exists.
     Raises VerificationFailure carrying the offending certificate if a
     monochromatic copy exists, and ValueError for t < 2.
@@ -400,7 +401,7 @@ def lower_bound_certificate(hg, coloring, t):
         raise ValueError("host must be covering")
     check_coloring(hg, coloring)
     pairs = hg.pair_edges()
-    linear = bool(pairs) and sum(map(len, pairs.values())) == len(pairs)
+    linear = sum(map(len, pairs.values())) == len(pairs)
     method = "bad-event-scan" if linear else "mono-berge-search"
     if linear:
         event = next(_CliqueScan(hg, coloring.colors).events(t), None)
@@ -420,6 +421,13 @@ def lower_bound_certificate(hg, coloring, t):
             color, cert = hit
             raise VerificationFailure(
                 f"monochromatic Berge-K_{t} in color {color}", color, cert)
+    return package_lower_bound(hg, coloring, t, method)
+
+
+def package_lower_bound(hg, coloring, t, method):
+    """The LowerBoundCertificate of a coloring of the covering host `hg`
+    that `method` has already proven free of monochromatic Berge-K_t; this
+    checks nothing, so the one proof is the caller's."""
     uniformity = tuple(sorted(hg.uniformity))
     if len(uniformity) == 1:
         r_tag = _superscript(uniformity[0])

@@ -469,6 +469,11 @@ class TestTargetGraph:
         assert path_graph(3).edges == ((1, 2), (2, 3))
         assert cycle_graph(4).num_edges == 4
 
+    def test_cycle_of_two_vertices_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            cycle_graph(2)
+        assert str(exc.value) == "cycles need at least 3 vertices"
+
     def test_text_round_trip(self):
         for g in (K3, K4, P3, C4, Hypergraph(3, [], {2})):
             assert parse_target(format_hypergraph(g)) == g

@@ -41,6 +41,11 @@ class TestCubicUpperBound:
             for s in range(2, 11):
                 assert sufficiency_inequality_holds(k, s).satisfied, (k, s)
 
+    def test_sufficiency_rejects_small_parameters(self):
+        with pytest.raises(ValueError) as exc:
+            sufficiency_inequality_holds(1, 3)
+        assert str(exc.value) == "requires k >= 2 and s >= 2"
+
 
 class TestLLLInequality:
     def test_minimal_case_fails(self):

@@ -3,12 +3,13 @@ import json
 
 import pytest
 
-from coverramsey import (complete_graph, complete_host,
+from coverramsey import (Hypergraph, complete_graph, complete_host,
                          construct_resolvable_bibd, design_to_hypergraph,
                          format_design, format_hypergraph, parse_design)
 from coverramsey.cli import build_parser, main
 from coverramsey.reductions import DEFAULT_MAX_ATTEMPTS
-from coverramsey.search import DEFAULT_COLORING_LIMIT, DEFAULT_MAX_RESAMPLES
+from coverramsey.search import (DEFAULT_COLORING_LIMIT, DEFAULT_MAX_RESAMPLES,
+                                lower_bound_certificate, moser_tardos_coloring)
 
 from _oracles import fano
 
@@ -58,6 +59,23 @@ class TestGenDesign:
 
     def test_unsupported_parameters_exit_1(self, files):
         assert run("gen-design", "7", "3") == 1
+
+    def test_design_that_fails_its_own_verifier_exit_3(self, files, capsys,
+                                                       monkeypatch):
+        # D(9,3) with the block (1, 2, 3) of class 0 repeated in class 1
+        import coverramsey.designs
+        design = construct_resolvable_bibd(9, 3)
+        classes = list(design.classes)
+        classes[1] = (design.classes[0][0],) + classes[1][1:]
+        monkeypatch.setattr(coverramsey.designs, "construct_resolvable_bibd",
+                            lambda n, k: design._replace(classes=classes))
+        out = files["dir"] / "d9.design"
+        assert run("gen-design", "9", "3", "-o", out) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert [ln for ln in err if not ln.startswith("# wall-time")] == [
+            "verification failure: constructed design failed its own "
+            "verifier: class 1 does not partition 1..9"]
+        assert not out.exists()
 
     def test_design_that_fails_its_audit_exit_3(self, files, capsys):
         # D(4,2) without its third parallel class
@@ -176,6 +194,25 @@ class TestFindBerge:
                 "error: malformed berge-certificate record: "
                 "KeyError('coloring_text')"]
 
+    def test_edge_moved_off_its_pair_exit_3(self, files, capsys):
+        # target edge 0 of K3 moved to an unused Fano line that misses
+        # the host pair its end points map to
+        out = files["dir"] / "cert.json"
+        assert run("find-berge", files["fano"], files["k3"], "-o", out) == 0
+        record = json.loads(out.read_text())
+        vmap = dict(record["vertex_map"])
+        pair = (vmap[1], vmap[2])
+        used = {b for _, b in record["edge_map"]}
+        b = next(i for i, e in enumerate(fano().edges)
+                 if i not in used and not set(pair) <= set(e))
+        record["edge_map"][0][1] = b
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 3
+        assert capsys.readouterr().out == (
+            f"CONTAINMENT_FAIL: target edge 0 (1, 2) maps to the host pair "
+            f"{pair}, which its hyperedge {b} misses\n")
+
     @pytest.mark.parametrize("host,coloring", [
         ("k4", None), ("fano", None), ("fano", "fano_blue")])
     def test_forged_absence_exit_3(self, files, capsys, host, coloring):
@@ -225,9 +262,9 @@ class TestUnavoidable:
                    "-o", out) == 0
         assert run("verify", out) == 0
 
-    def test_version_0_1_0_record_verifies(self, files, capsys):
-        # 0.1.0 visited colorings in Gray-code order; verify checks the
-        # witness, not its position, so such records still verify
+    def test_version_0_1_0_record_fails_like_a_forgery(self, files, capsys):
+        # 0.1.0 visited colorings in Gray-code order, but a record's version
+        # is only informational: its counters are derived in binary order
         out = files["dir"] / "unavoid.json"
         assert run("unavoidable", files["k5"], files["k3"], files["k3"],
                    "-o", out) == 0
@@ -236,9 +273,23 @@ class TestUnavoidable:
         record.update(witness="0011101100", colorings_examined=76)
         out.write_text(json.dumps(record))
         capsys.readouterr()
-        assert run("verify", out) == 0
+        assert run("verify", out) == 3
         assert capsys.readouterr().out == (
-            "witness re-verified (avoids both targets)\n")
+            "colorings_examined mismatch: recomputed 111, recorded 76\n")
+
+    def test_forged_counters_under_an_old_version_exit_3(self, files,
+                                                         capsys):
+        # K5 (K3, K3) is avoidable; an edited version skips no check
+        out = files["dir"] / "unavoid.json"
+        self.forge(out, files["k5"], files["k3"], files["k3"],
+                   colorings_examined=1, shard="11")
+        record = json.loads(out.read_text())
+        record["manifest"]["version"] = "0.1.0"
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 3
+        assert capsys.readouterr().out == (
+            "colorings_examined mismatch: recomputed 111, recorded 1\n")
 
     def test_unknown_verdict_is_malformed(self, files, capsys):
         out = files["dir"] / "unavoid.json"
@@ -374,8 +425,8 @@ class TestUnavoidable:
         capsys.readouterr()
         assert run("verify", out) == 1
         assert error_lines(capsys) == [
-            f"error: malformed unavoidability-result record: seed "
-            f"{seed!r} is not null, as the command takes no --seed"]
+            f"error: malformed unavoidability-result record: manifest seed "
+            f"mismatch: recomputed None, recorded {seed!r}"]
 
     def test_default_limit_is_the_library_default(self):
         args = build_parser().parse_args(["unavoidable", "h", "g1", "g2"])
@@ -658,8 +709,52 @@ class TestMtLllAndCertify:
         capsys.readouterr()
         assert run("verify", out) == 1
         assert error_lines(capsys, stdout="") == [
-            f"error: malformed {record['record']} record: seed "
-            f"{seed!r} is not the argv's --seed 0"]
+            f"error: malformed {record['record']} record: manifest seed "
+            f"mismatch: recomputed 0, recorded {seed!r}"]
+
+    @pytest.mark.parametrize("n,k,t,seed", [
+        *[(9, 3, 3, seed) for seed in range(5)], (21, 3, 5, 0), (25, 5, 5, 0),
+        (1, None, 2, 0)])
+    def test_mt_certificate_is_the_certify_lower_one(self, files, n, k, t,
+                                                     seed):
+        # the run's last scan is the proof, and packaged as the
+        # certificate that lower_bound_certificate gives its coloring; a
+        # host without pairs is linear, vacuously, for both
+        hg = (Hypergraph(n, []) if k is None
+              else design_to_hypergraph(construct_resolvable_bibd(n, k)))
+        host = files["dir"] / "d.hg"
+        host.write_text(format_hypergraph(hg))
+        out = files["dir"] / "lb.json"
+        assert run("mt-lll", host, t, "--seed", seed, "-o", out) == 0
+        record = json.loads(out.read_text())
+        mt = moser_tardos_coloring(hg, t, seed=seed)
+        cert = lower_bound_certificate(hg, mt.coloring, t)._asdict()
+        assert {f: record[f] for f in cert} == json.loads(json.dumps(cert))
+        assert record["method"] == "bad-event-scan"
+
+    def test_one_bad_event_scan_per_run(self, files, monkeypatch):
+        import coverramsey.search
+        built = []
+        init = coverramsey.search._CliqueScan.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(coverramsey.search._CliqueScan, "__init__",
+                            counted)
+        d9 = files["dir"] / "d9.hg"
+        d9.write_text(format_hypergraph(
+            design_to_hypergraph(construct_resolvable_bibd(9, 3))))
+        paths = [files["dir"] / name for name in ("mt.json", "mt.col",
+                                                  "lb.json")]
+        for argv in (["mt-lll", d9, "4", "-o", paths[0], "--coloring-out",
+                      paths[1]], ["verify", paths[0]],
+                     ["certify-lower", d9, paths[1], "4", "-o", paths[2]],
+                     ["verify", paths[2]]):
+            built.clear()
+            assert run(*argv) == 0
+            assert len(built) == 1, argv
 
     def test_mt_record_without_resamples_is_malformed(self, files, capsys):
         d9 = files["dir"] / "d9.hg"
@@ -765,7 +860,7 @@ class TestScatter:
         capsys.readouterr()
         assert run("verify", out) == 3
         assert capsys.readouterr().out == (
-            "some hyperedge meets the subset in 3 vertices\n")
+            "subset mismatch: recomputed [4, 6, 7], recorded [1, 2, 3]\n")
 
     def test_default_max_attempts_is_the_library_default(self):
         args = build_parser().parse_args(["scatter", "h", "3"])
@@ -820,10 +915,12 @@ class TestScatter:
         assert "usage:" not in captured.err
 
     @pytest.mark.parametrize("field,value,message", [
-        ("subset", [1, 1, 999], "subset is not 6 distinct vertices in 1..6"),
-        ("subset", [], "subset is not 6 distinct vertices in 1..6"),
-        ("subset", [1, 2, 3, 4, 5, 6.0],
-         "subset is not 6 distinct vertices in 1..6"),
+        ("subset", [1, 1, 999], "subset mismatch: recomputed "
+         "[1, 2, 3, 4, 5, 6], recorded [1, 1, 999]"),
+        ("subset", [], "subset mismatch: recomputed [1, 2, 3, 4, 5, 6], "
+         "recorded []"),
+        ("subset", [1, 2, 3, 4, 5, 6.0], "subset mismatch: recomputed "
+         "[1, 2, 3, 4, 5, 6], recorded [1, 2, 3, 4, 5, 6.0]"),
         ("k", 3, "k mismatch: recomputed 2, recorded 3"),
         ("failure_bound", "1/2", None),
         ("failure_bound_float", 1.0, None),
@@ -1058,6 +1155,12 @@ class TestEveryRecordVerifies:
             assert error_lines(capsys, stdout="") == [
                 f"error: malformed {record['record']} record: its argv "
                 f"writes no field 'extra'"], argv
+            manifest = {**record["manifest"], "extra": 1}
+            out.write_text(json.dumps({**record, "manifest": manifest}))
+            assert run("verify", out) == 1, argv
+            assert error_lines(capsys, stdout="") == [
+                f"error: malformed {record['record']} record: manifest "
+                f"field 'extra' is unknown"], argv
 
     def test_covering_check_record_is_re_derived(self, files, capsys):
         out = files["dir"] / "cover.json"
@@ -1093,13 +1196,15 @@ class TestArgvDecides:
 
     @pytest.mark.parametrize("argv,old,new,message", [
         (["scatter", "{k6}", "4"], "4", "5",
-         "subset is not 5 distinct vertices in 1..6"),
+         "s mismatch: recomputed 5, recorded 4"),
         (["mt-lll", "{d9}", "3"], "3", "4",
          "t mismatch: recomputed 4, recorded 3"),
         (["certify-lower", "{d9}", "{d9col}", "4"], "4", "3",
          "monochromatic Berge-K_3 on (1, 2, 9) in color 0"),
         (["find-berge", "{fano}", "{k3}", "--coloring", "{fano_blue}",
-          "--color", "0"], "0", "1", "COLOR_FAIL")],
+          "--color", "0"], "0", "1",
+         "COLOR_FAIL: target edge 0 (1, 2) is on hyperedge 0 of color 0, "
+         "not the argv's --color 1")],
         ids=["scatter-s", "mt-lll-t", "certify-lower-t", "find-berge-color"])
     def test_record_under_another_argv_exit_3(self, paths, capsys, argv, old,
                                               new, message):
@@ -1140,6 +1245,84 @@ class TestArgvDecides:
         assert run("verify", out) == 1
         assert error_lines(capsys, stdout="") == [
             "error: malformed scatter-sample record: KeyError('trials')"]
+
+
+class TestManifestIsRederived:
+    """`verify` compares a record's manifest with the one its argv writes.
+    Its `version` and `inputs` only inform: no check reads them."""
+
+    def scatter_record(self, files):
+        out = files["dir"] / "scatter.json"
+        assert run("scatter", files["fano"], "3", "-o", out) == 0
+        return out, json.loads(out.read_text())
+
+    @pytest.mark.parametrize("edits,message", [
+        ({"subcommand": "mt-lll"},
+         "subcommand mismatch: recomputed 'scatter', recorded 'mt-lll'"),
+        ({"tool": "other"},
+         "tool mismatch: recomputed 'coverramsey', recorded 'other'"),
+        ({"subcommand": "mt-lll", "tool": "other"},
+         "tool mismatch: recomputed 'coverramsey', recorded 'other'")],
+        ids=["subcommand", "tool", "both"])
+    def test_forged_manifest_is_malformed(self, files, capsys, edits,
+                                          message):
+        out, record = self.scatter_record(files)
+        record["manifest"].update(edits)
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 1
+        assert error_lines(capsys, stdout="") == [
+            f"error: malformed scatter-sample record: manifest {message}"]
+
+    @pytest.mark.parametrize("key", ["tool", "version", "subcommand", "argv",
+                                     "seed", "inputs"])
+    def test_missing_manifest_field_is_malformed(self, files, capsys, key):
+        out, record = self.scatter_record(files)
+        del record["manifest"][key]
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 1
+        assert error_lines(capsys, stdout="") == [
+            f"error: malformed scatter-sample record: KeyError({key!r})"]
+
+    @pytest.mark.parametrize("key,value", [
+        ("version", "0.1.0"), ("inputs", {}), ("inputs", None)])
+    def test_informational_field_edited_verifies(self, files, capsys, key,
+                                                 value):
+        # the AVOIDABLE counters are derived whatever the version says
+        out = files["dir"] / "unavoid.json"
+        assert run("unavoidable", files["k5"], files["k3"], files["k3"],
+                   "-o", out) == 0
+        record = json.loads(out.read_text())
+        record["manifest"][key] = value
+        out.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("verify", out) == 0
+        assert capsys.readouterr().out == (
+            "witness re-verified (avoids both targets)\n")
+
+    def test_forged_manifest_costs_no_search(self, files, capsys,
+                                             monkeypatch):
+        # an UNAVOIDABLE verdict re-verifies by a search, which a manifest
+        # that its argv does not write never reaches
+        import coverramsey.search
+        out = files["dir"] / "unavoid.json"
+        assert run("unavoidable", files["k6"], files["k3"], files["k3"],
+                   "-o", out) == 0
+        record = json.loads(out.read_text())
+        record["manifest"]["subcommand"] = "scatter"
+        out.write_text(json.dumps(record))
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the recorded search was run")
+
+        monkeypatch.setattr(coverramsey.search, "unavoidable", no_search)
+        capsys.readouterr()
+        assert run("verify", out) == 1
+        assert error_lines(capsys, stdout="") == [
+            "error: malformed unavoidability-result record: manifest "
+            "subcommand mismatch: recomputed 'unavoidable', recorded "
+            "'scatter'"]
 
 
 class TestVerifyDispatch:

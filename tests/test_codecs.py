@@ -14,9 +14,9 @@ import random
 
 import pytest
 
-from coverramsey import (format_coloring, format_design, format_hypergraph,
-                         parse_coloring, parse_design, parse_hypergraph,
-                         parse_target)
+from coverramsey import (__version__, format_coloring, format_design,
+                         format_hypergraph, parse_coloring, parse_design,
+                         parse_hypergraph, parse_target)
 from coverramsey.cli import main
 
 from _oracles import (fano, random_coloring, random_covering_hypergraph,
@@ -248,6 +248,12 @@ def test_messages_are_pinned():
     assert digest == MESSAGES_SHA256
 
 
+def _manifest(argv):
+    """The manifest a command line `argv` writes, its inputs not read."""
+    return {"tool": "coverramsey", "version": __version__,
+            "subcommand": argv[0], "argv": argv, "seed": None, "inputs": {}}
+
+
 def _verify_file(tmp_path, fmt, seed, text):
     """A file that `verify` reads the malformed text from: the text itself
     for hosts and designs, a record embedding it otherwise."""
@@ -255,16 +261,15 @@ def _verify_file(tmp_path, fmt, seed, text):
         body = text
     elif fmt == "target":
         body = json.dumps({"record": "berge-certificate",
-                           "manifest": {"argv": ["find-berge", "h", "g"],
-                                        "seed": None},
+                           "manifest": _manifest(["find-berge", "h", "g"]),
                            "host_text": format_hypergraph(fano()),
                            "target_text": text, "color": None,
                            "found": False})
     else:
         hg = _host(random.Random(f"codec:coloring:{seed}"))
         body = json.dumps({"record": "product-reduction",
-                           "manifest": {"argv": ["reduce-product", "h", "c"],
-                                        "seed": None},
+                           "manifest": _manifest(["reduce-product", "h",
+                                                  "c"]),
                            "host_text": format_hypergraph(hg),
                            "coloring_text": text})
     path = tmp_path / f"bad.{fmt}"

@@ -162,6 +162,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Hypergraph(5, [(1, 2, 3)], uniformity={2})
 
+    def test_uniformity_below_2_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            Hypergraph(3, [], uniformity={1})
+        assert str(exc.value) == "uniformity set {1} contains sizes < 2"
+
     def test_singleton_edge_rejected(self):
         with pytest.raises(ValueError):
             Hypergraph(3, [(2,)])

@@ -104,6 +104,11 @@ class TestScatterFailureBound:
         assert value == Fraction(60, 484) == Fraction(15, 121)
         assert value < 1
 
+    def test_fewer_than_3_vertices_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            scatter_failure_bound(2, 0, 3)
+        assert str(exc.value) == "requires n >= 3"
+
     @pytest.mark.parametrize("s", [-1, 8])
     def test_subset_size_outside_the_vertices(self, s):
         with pytest.raises(ValueError) as exc:
