@@ -63,14 +63,18 @@ class BergeCertificate(namedtuple("BergeCertificate", "vertex_map edge_map")):
         return dict(self.edge_map)
 
 
-class VerifyResult(namedtuple("VerifyResult", "ok reason",
-                              defaults=(None,))):
-    """`ok`, and the reason code of a failure (None on success)."""
+class VerifyResult(namedtuple("VerifyResult", "ok reason detail",
+                              defaults=(None, ""))):
+    """`ok`, the reason code of a failure (None on success), and its
+    `detail`: the failing edge, for CONTAINMENT_FAIL and COLOR_FAIL."""
 
     __slots__ = ()
 
     def __bool__(self):
         return self.ok
+
+    def __str__(self):
+        return ": ".join(filter(None, (self.reason, self.detail)))
 
 
 def verify_certificate(hg, g, cert, coloring=None, color=None):
@@ -78,7 +82,8 @@ def verify_certificate(hg, g, cert, coloring=None, color=None):
 
     Returns a truthy VerifyResult on success; on failure the result carries
     one of the reason codes NOT_INJECTIVE_VERTICES, NOT_INJECTIVE_EDGES,
-    CONTAINMENT_FAIL, COLOR_FAIL.
+    CONTAINMENT_FAIL, COLOR_FAIL, and for the last two the first failing
+    target edge, in index order, as its detail.
     """
     vmap = cert.vertex_dict()
     emap = cert.edge_dict()
@@ -93,11 +98,19 @@ def verify_certificate(hg, g, cert, coloring=None, color=None):
     for ei, (u, v) in enumerate(g.edges):
         host_edge = set(hg.edges[emap[ei]])
         if not {vmap[u], vmap[v]} <= host_edge:
-            return VerifyResult(False, CONTAINMENT_FAIL)
+            return VerifyResult(False, CONTAINMENT_FAIL, (
+                f"target edge {ei} ({u}, {v}) maps to the host pair "
+                f"{(vmap[u], vmap[v])}, which its hyperedge {emap[ei]} "
+                f"misses"))
     if coloring is not None and color is not None:
         check_coloring(hg, coloring)
         if any(coloring.colors[i] != color for i in emap.values()):
-            return VerifyResult(False, COLOR_FAIL)
+            # sought only once the check fails: a success costs the check
+            ei, b = next((ei, b) for ei, b in sorted(emap.items())
+                         if coloring.colors[b] != color)
+            return VerifyResult(False, COLOR_FAIL, (
+                f"target edge {ei} {g.edges[ei]} is on hyperedge {b} of "
+                f"color {coloring.colors[b]}, not color {color}"))
     return VerifyResult(True)
 
 
@@ -110,7 +123,7 @@ def lift_embedding(hg, g, embedding, coloring=None, color=None):
             for ei, (u, v) in enumerate(g.edges)}
     cert = BergeCertificate.from_dicts(vmap, emap)
     result = verify_certificate(hg, g, cert, coloring, color)
-    assert result, f"lifted certificate failed verification: {result.reason}"
+    assert result, f"lifted certificate failed verification: {result}"
     return cert
 
 
@@ -305,7 +318,8 @@ class BergeSearch:
         if found is None:
             return None
         cert = BergeCertificate.from_dicts(*found)
-        assert verify_certificate(self.hg, self.g, cert)
+        result = verify_certificate(self.hg, self.g, cert)
+        assert result, f"found certificate failed verification: {result}"
         assert all(allowed >> i & 1 for i in found[1].values()), \
             "certificate uses a hyperedge outside the allowed set"
         return cert

@@ -121,23 +121,6 @@ def _covering_fields(args, text, claim=None):
             "covering": hg.is_covering(), "min_codegree": hg.min_codegree()}
 
 
-def _failing_edge(hg, target, cert, coloring, color, reason):
-    """The first target edge whose image fails `reason`, named after ': ',
-    for CONTAINMENT_FAIL and COLOR_FAIL; '' for another reason."""
-    from .berge import COLOR_FAIL, CONTAINMENT_FAIL
-    vmap, emap = cert.vertex_dict(), cert.edge_dict()
-    for ei, (u, v) in enumerate(target.edges):
-        b, pair = emap[ei], (vmap[u], vmap[v])
-        if reason == CONTAINMENT_FAIL and not set(pair) <= set(hg.edges[b]):
-            return (f": target edge {ei} ({u}, {v}) maps to the host pair "
-                    f"{pair}, which its hyperedge {b} misses")
-        if reason == COLOR_FAIL and coloring.colors[b] != color:
-            return (f": target edge {ei} ({u}, {v}) is on hyperedge {b} of "
-                    f"color {coloring.colors[b]}, not the argv's --color "
-                    f"{color}")
-    return ""
-
-
 def _berge_fields(args, text, claim=None):
     """A claimed copy is checked by `verify_certificate`, with no search;
     a claimed absence is searched for again."""
@@ -153,8 +136,7 @@ def _berge_fields(args, text, claim=None):
         cert = BergeCertificate(claim["vertex_map"], claim["edge_map"])
         result = verify_certificate(hg, target, cert, coloring, args.color)
         if not result:
-            raise VerificationFailure(result.reason + _failing_edge(
-                hg, target, cert, coloring, args.color, result.reason))
+            raise VerificationFailure(str(result))
     else:
         cert = find_berge(hg, target, coloring, args.color)
         if claim is not None and cert is not None:
@@ -521,7 +503,7 @@ def cmd_verify(args):
     # other command that loads, say, `reductions`
     from . import berge, bounds, designs, hypergraph, reductions, search
     from .designs import parse_design, verify_resolvable_bibd
-    from .hypergraph import _first_content_row, parse_hypergraph
+    from .hypergraph import _first_content_row
     text = _read(args, args.file)
     # dispatch on the first line that is neither blank nor a '#' comment
     first = _first_content_row(text) or ""
@@ -546,26 +528,18 @@ def cmd_verify(args):
             raise ValueError(f"malformed {kind} record: {exc!r}") from exc
         except VerificationFailure as exc:
             ok, message = False, str(exc)
+    elif len(first.split()) == 3:
+        report = verify_resolvable_bibd(parse_design(text))
+        ok = report.ok()
+        message = ("design verifies" if ok else
+                   "; ".join(f"{v.code}: {v.detail}"
+                             for v in report.violations))
     else:
-        if text.startswith("# coverramsey coloring\n"):
-            raise ValueError(f"{args.file} is a coloring sidecar, which "
-                             f"holds no claim; verify the mt-lll or "
-                             f"certify-lower record instead")
-        head = first.split()
-        if len(head) == 3:
-            design = parse_design(text)
-            report = verify_resolvable_bibd(design)
-            ok = report.ok()
-            message = ("design verifies" if ok else
-                       "; ".join(f"{v.code}: {v.detail}"
-                                 for v in report.violations))
-        elif len(head) == 2:
-            hg = parse_hypergraph(text)
-            ok = True
-            message = (f"hypergraph parses (n={hg.n}, m={hg.num_edges}, "
-                       f"covering={hg.is_covering()})")
-        else:
-            raise ValueError("unrecognized file type")
+        raise ValueError(f"{args.file} is neither a JSON record nor a "
+                         f"design, so it holds no claim to verify; check a "
+                         f"host with check-covering, and a coloring through "
+                         f"the mt-lll or certify-lower record that embeds "
+                         f"it")
     print(message)
     return EXIT_OK if ok else EXIT_VERIFY
 

@@ -344,9 +344,15 @@ def moser_tardos_coloring(hg, t, seed=0,
     sets remain, re-randomize the blocks of the lexicographically least
     one.  The returned coloring (when found) scans clean, i.e. the host
     has no monochromatic Berge-K_t under it.  Deterministic per seed.
-    Raises ValueError for t < 2, where every coloring holds a Berge-K_t.
+    Raises ValueError for t < 2, where every coloring holds a Berge-K_t,
+    and for t = 2 on a host with a hyperedge, which is a monochromatic
+    Berge-K_2 in its own color.
     """
     _check_t(t)
+    if t == 2 and hg.num_edges:
+        raise ValueError("t = 2 has no good coloring on a host with a "
+                         "hyperedge: each hyperedge is a monochromatic "
+                         "Berge-K_2")
     if max_resamples < 0:
         raise ValueError(f"max resamples must be non-negative, "
                          f"got {max_resamples}")

@@ -63,6 +63,42 @@ class TestVerifyCertificate:
         coloring = EdgeColoring((0,) * 7)
         assert verify_certificate(fano(), K3, fano_k3_cert(), coloring, 0)
 
+    def test_containment_failure_names_the_first_failing_edge(self):
+        # edges 1 and 2 moved onto lines {1,6,7} and {2,5,7}, which miss
+        # their host pairs (1, 4) and (2, 4)
+        cert = BergeCertificate.from_dicts({1: 1, 2: 2, 3: 4},
+                                           {0: 0, 1: 2, 2: 4})
+        result = verify_certificate(fano(), K3, cert)
+        assert result == (False, CONTAINMENT_FAIL,
+                          "target edge 1 (1, 3) maps to the host pair "
+                          "(1, 4), which its hyperedge 2 misses")
+        assert str(result) == f"{CONTAINMENT_FAIL}: {result.detail}"
+
+    def test_color_failure_names_the_first_failing_edge(self):
+        # lines 1 and 3, the images of edges 1 and 2, are red; the edge
+        # map is listed in reverse, and edges are still taken by index
+        coloring = EdgeColoring((0, 1, 0, 1, 0, 0, 0))
+        cert = BergeCertificate(((1, 1), (2, 2), (3, 4)),
+                                ((2, 3), (1, 1), (0, 0)))
+        result = verify_certificate(fano(), K3, cert, coloring, 0)
+        assert result == (False, COLOR_FAIL,
+                          "target edge 1 (1, 3) is on hyperedge 1 of color "
+                          "1, not color 0")
+        assert str(result) == f"{COLOR_FAIL}: {result.detail}"
+
+    @pytest.mark.parametrize("vertex_map,edge_map,reason", [
+        ({1: 1, 2: 2, 3: 4}, {0: 0, 1: 1, 2: 3}, None),
+        ({1: 1, 2: 1, 3: 4}, {0: 0, 1: 1, 2: 3}, NOT_INJECTIVE_VERTICES),
+        ({1: 1, 2: 2, 3: 4}, {0: 0, 1: 0, 2: 3}, NOT_INJECTIVE_EDGES)],
+        ids=["ok", "vertices", "edges"])
+    def test_other_results_carry_no_detail(self, vertex_map, edge_map,
+                                           reason):
+        cert = BergeCertificate.from_dicts(vertex_map, edge_map)
+        result = verify_certificate(fano(), K3, cert, EdgeColoring((0,) * 7),
+                                    0)
+        assert result == (reason is None, reason, "")
+        assert str(result) == (reason or "")
+
 
 class TestMatchingForAssignment:
     def test_fano_unique_lines(self):

@@ -571,6 +571,17 @@ class TestMtLllAndCertify:
         assert error_lines(capsys) == [f"error: t must be at least 2, got {t}"]
         assert not out.exists()
 
+    def test_t2_on_a_host_with_a_hyperedge_exit_1(self, files, capsys):
+        # the hyperedge is a monochromatic Berge-K_2 in its own color, so
+        # no resample can help: refused at once, however many are allowed
+        host, out = files["dir"] / "edge.hg", files["dir"] / "lb.json"
+        host.write_text("2 1\n1 2\n")
+        assert run("mt-lll", host, "2", "-o", out) == 1
+        assert error_lines(capsys, stdout="") == [
+            "error: t = 2 has no good coloring on a host with a hyperedge: "
+            "each hyperedge is a monochromatic Berge-K_2"]
+        assert not out.exists()
+
     def test_verify_rejects_t1_record(self, files, capsys):
         # the record that mt-lll once wrote for t = 1 on D(9,3)
         d9 = files["dir"] / "d9.hg"
@@ -1204,7 +1215,7 @@ class TestArgvDecides:
         (["find-berge", "{fano}", "{k3}", "--coloring", "{fano_blue}",
           "--color", "0"], "0", "1",
          "COLOR_FAIL: target edge 0 (1, 2) is on hyperedge 0 of color 0, "
-         "not the argv's --color 1")],
+         "not color 1")],
         ids=["scatter-s", "mt-lll-t", "certify-lower-t", "find-berge-color"])
     def test_record_under_another_argv_exit_3(self, paths, capsys, argv, old,
                                               new, message):
@@ -1325,25 +1336,54 @@ class TestManifestIsRederived:
             "'scatter'"]
 
 
+def refusal(path):
+    """The one `error:` line `verify` gives a file that holds no claim."""
+    return (f"error: {path} is neither a JSON record nor a design, so it "
+            f"holds no claim to verify; check a host with check-covering, "
+            f"and a coloring through the mt-lll or certify-lower record "
+            f"that embeds it")
+
+
 class TestVerifyDispatch:
     def test_hypergraph_file(self, files, capsys):
-        assert run("verify", files["fano"]) == 0
-        assert "covering=True" in capsys.readouterr().out
+        assert run("verify", files["fano"]) == 1
+        assert error_lines(capsys, stdout="") == [refusal(files["fano"])]
 
     @pytest.mark.parametrize("kind", ["hypergraph", "design"])
     def test_leading_blank_and_comment_lines(self, files, capsys, kind):
         # the file type is read off the first line that is neither blank
-        # nor a '#' comment, the lines every text parser skips
+        # nor a '#' comment, the lines every text parser skips: a design
+        # verifies and a host is refused, whatever lines precede them
         text = (format_hypergraph(fano()) if kind == "hypergraph"
                 else format_design(construct_resolvable_bibd(9, 3)))
         path = files["dir"] / f"padded.{kind}"
-        path.write_text(text)
-        assert run("verify", path) == 0
-        want = capsys.readouterr().out.splitlines()[0]
-        for prefix in ("\n", "# header\n\n", " \n\t\n# a\n   # b\n\n"):
+        for prefix in ("", "\n", "# header\n\n", " \n\t\n# a\n   # b\n\n"):
             path.write_text(prefix + text)
-            assert run("verify", path) == 0
-            assert capsys.readouterr().out.splitlines()[0] == want
+            if kind == "hypergraph":
+                assert run("verify", path) == 1
+                assert error_lines(capsys, stdout="") == [refusal(path)]
+            else:
+                assert run("verify", path) == 0
+                assert error_lines(capsys, stdout="design verifies\n") == []
+
+    def test_files_without_a_claim_are_refused(self, files, capsys):
+        # a host, a target in either edge order, a coloring sidecar, an
+        # empty file and a one-word file are neither a record nor a design
+        col = files["dir"] / "mt.col"
+        assert run("mt-lll", files["fano"], "4", "--coloring-out", col) == 0
+        texts = {"descending.g": "3 2\n2 1\n3 1\n", "empty": "",
+                 "word": "coloring\n"}
+        for name, text in texts.items():
+            (files["dir"] / name).write_text(text)
+        capsys.readouterr()
+        for path in (files["fano"], files["k3"], files["dir"] / "descending.g",
+                     col, files["dir"] / "empty", files["dir"] / "word"):
+            assert run("verify", path) == 1
+            assert error_lines(capsys, stdout="") == [refusal(path)]
+        # the host check is check-covering's
+        assert run("check-covering", files["fano"]) == 0
+        assert capsys.readouterr().out == (
+            "covering: True (n=7, m=7, min co-degree 1)\n")
 
     def test_json_record_after_blank_and_comment_lines(self, files, capsys):
         path = files["dir"] / "rec.json"
@@ -1370,15 +1410,13 @@ class TestVerifyDispatch:
         assert run("mt-lll", files["fano"], "4", "--coloring-out", col) == 0
         capsys.readouterr()
         assert run("verify", col) == 1
-        assert error_lines(capsys) == [
-            f"error: {col} is a coloring sidecar, which holds no claim; "
-            f"verify the mt-lll or certify-lower record instead"]
+        assert error_lines(capsys) == [refusal(col)]
 
     def test_empty_file_exit_1(self, files, capsys):
         empty = files["dir"] / "empty"
         empty.write_text("")
         assert run("verify", empty) == 1
-        assert error_lines(capsys) == ["error: unrecognized file type"]
+        assert error_lines(capsys) == [refusal(empty)]
 
     def test_cut_record_exit_1(self, files, capsys):
         out = files["dir"] / "rec.json"
@@ -1410,13 +1448,15 @@ class TestVerifyDispatch:
     def test_non_integer_entry_exit_1(self, files, capsys, kind, text, line):
         bad = files["dir"] / f"bad.{kind}"
         bad.write_text(text)
-        argvs = {"host": [("verify", bad), ("find-berge", bad, files["k3"])],
-                 "target": [("find-berge", files["fano"], bad)],
-                 "design": [("verify", bad)]}[kind]
-        for argv in argvs:
+        # `verify` refuses a host before parsing it
+        message = f"error: non-integer entry in line {line!r}"
+        argvs = {"host": [(("verify", bad), refusal(bad)),
+                          (("find-berge", bad, files["k3"]), message)],
+                 "target": [(("find-berge", files["fano"], bad), message)],
+                 "design": [(("verify", bad), message)]}[kind]
+        for argv, error in argvs:
             assert run(*argv) == 1
-            assert error_lines(capsys) == [
-                f"error: non-integer entry in line {line!r}"]
+            assert error_lines(capsys) == [error]
 
     def test_malformed_record_exit_1(self, files):
         bad = files["dir"] / "torn.json"

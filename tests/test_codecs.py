@@ -289,8 +289,9 @@ def test_verify_reports_each_malformed_file(tmp_path, capsys, fmt):
         errors = [ln for ln in captured.err.splitlines()
                   if ln.startswith("error:")]
         assert len(errors) == 1, (seed, name, captured.err)
-        # a host or design file is typed by its header, which a case may
-        # break; an embedded text is read as its record's argv says
+        # a host file is refused and a design file checked, each typed by
+        # its header, which a case may break; an embedded text is read as
+        # its record's argv says
         if fmt in ("target", "coloring"):
             assert errors == [f"error: {message}"], (seed, name)
         assert captured.out == ""

@@ -439,8 +439,9 @@ class TestMoserTardos:
     @pytest.mark.parametrize("n,k", [(9, 3), (15, 3), (16, 4), (21, 3),
                                      (25, 5), (27, 3)])
     def test_matches_rescan_oracle(self, n, k):
+        # from t = 3: t = 2 is refused (test_t2_never_succeeds)
         hg = design_to_hypergraph(construct_resolvable_bibd(n, k))
-        for t in range(2, 8):
+        for t in range(3, 8):
             for seed in range(3):
                 run = moser_tardos_coloring(hg, t, seed=seed,
                                             max_resamples=40)
@@ -485,10 +486,21 @@ class TestMoserTardos:
         assert built == [run.coloring]
 
     def test_t2_never_succeeds(self):
-        hg = d9_host()
-        run = moser_tardos_coloring(hg, 2, seed=0, max_resamples=30)
-        assert run.coloring is None
-        assert run.resamples == 30
+        # each hyperedge is a monochromatic Berge-K_2 in its own color, so
+        # t = 2 is refused before the first scan, whatever the limit
+        for n, k in ((9, 3), (15, 3), (16, 4), (21, 3), (25, 5), (27, 3)):
+            hg = design_to_hypergraph(construct_resolvable_bibd(n, k))
+            for max_resamples in (0, 30):
+                with pytest.raises(ValueError, match=(
+                        "^t = 2 has no good coloring on a host with a "
+                        "hyperedge: each hyperedge is a monochromatic "
+                        "Berge-K_2$")):
+                    moser_tardos_coloring(hg, 2, seed=0,
+                                          max_resamples=max_resamples)
+        # an edgeless host is colored at once
+        for n in (0, 1):
+            run = moser_tardos_coloring(Hypergraph(n, []), 2, seed=0)
+            assert run == (EdgeColoring(()), 0, ())
 
     def test_rejects_non_linear_host(self):
         with pytest.raises(ValueError):
