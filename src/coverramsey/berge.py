@@ -114,9 +114,10 @@ def verify_certificate(hg, g, cert, coloring=None, color=None):
     return VerifyResult(True)
 
 
-def lift_embedding(hg, g, embedding, coloring=None, color=None):
+def lift_embedding(hg, g, embedding, coloring, color):
     """The Berge-G copy putting each embedded target edge on h(uv), the
-    first hyperedge holding its host pair; checked, in `color` if given."""
+    first hyperedge holding its host pair; checked to lie in `color` of
+    `coloring` (None for an edgeless target, which has no color)."""
     vmap = dict(embedding)
     pair_edges = hg.pair_edges()
     emap = {ei: pair_edges[tuple(sorted((vmap[u], vmap[v])))][0]

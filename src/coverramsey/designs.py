@@ -74,9 +74,6 @@ class DesignReport(namedtuple("DesignReport", "violations")):
     def ok(self):
         return not self.violations
 
-    def codes(self):
-        return {v.code for v in self.violations}
-
 
 def verify_resolvable_bibd(design):
     """Full audit: every class partitions 1..n into k-blocks, every pair is

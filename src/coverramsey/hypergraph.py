@@ -1,11 +1,11 @@
 """Immutable hypergraphs with mixed edge sizes, plus the structural
-primitives everything else is built on: 2-shadow, covering test, co-degree,
-and edge-minimal covering reduction.
+primitives everything else is built on: the pair index, covering test,
+minimum co-degree, and edge-minimal covering reduction.
 
 Vertices are the integers 1..n.  Edges are stored canonically (each edge an
 ascending tuple, the edge list sorted lexicographically), so equality and
-serialization are deterministic.  A simple graph, such as a 2-shadow or a
-Berge target, is a Hypergraph with uniformity {2}.
+serialization are deterministic.  A simple graph, such as a Berge target,
+is a Hypergraph with uniformity {2}.
 """
 
 from itertools import chain, combinations, repeat
@@ -93,25 +93,10 @@ class Hypergraph:
                 self, "_pair_edges", {p: tuple(v) for p, v in idx.items()})
         return self._pair_edges
 
-    def shadow(self):
-        """2-shadow: the 2-uniform hypergraph (simple graph) whose edges are
-        exactly the vertex pairs covered by some hyperedge."""
-        return Hypergraph(self.n, self.pair_edges(), {2})
-
     def is_covering(self):
         """True iff every vertex pair lies in some hyperedge (equivalently
-        the shadow is covering, i.e. complete, equivalently the minimum
-        co-degree is >= 1)."""
+        the minimum co-degree is >= 1)."""
         return len(self.pair_edges()) == self.n * (self.n - 1) // 2
-
-    def codegree(self, vertex_set):
-        """Number of hyperedges containing every vertex of `vertex_set`."""
-        s = set(vertex_set)
-        if not s <= set(range(1, self.n + 1)):
-            raise ValueError(f"vertex set {sorted(s)} outside 1..{self.n}")
-        if len(s) == 2:
-            return len(self.pair_edges().get(tuple(sorted(s)), ()))
-        return sum(1 for e in self.edges if s <= set(e))
 
     def min_codegree(self):
         """Minimum co-degree over all vertex pairs (0 if some pair is
@@ -323,7 +308,7 @@ def format_hypergraph(hg):
     return "\n".join(lines) + "\n"
 
 
-def parse_hypergraph(text, uniformity=None):
+def parse_hypergraph(text):
     _check_text(text)
     if not text.endswith("\n"):
         raise ValueError("hypergraph text must end with a newline")
@@ -332,7 +317,7 @@ def parse_hypergraph(text, uniformity=None):
         for e in edges:
             if list(e) != sorted(set(e)):
                 raise ValueError(f"edge line {e} is not strictly ascending")
-    return Hypergraph(n, edges, uniformity)
+    return Hypergraph(n, edges)
 
 
 def format_coloring(coloring):

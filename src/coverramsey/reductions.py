@@ -175,24 +175,19 @@ def _mono_color(pair_color, g, embedding):
     return next(iter(colors), None)
 
 
-def lift_mono_subgraph(reduction, hg, g, embedding, coloring=None):
+def lift_mono_subgraph(reduction, hg, g, embedding, coloring):
     """Lift a monochromatic (in the product palette) embedded copy of the
-    target graph to a Berge certificate whose hyperedges all carry the
-    host color encoded in the shared product color.
-
-    When the host coloring is supplied, the certificate is additionally
-    verified against that host color.
-    """
+    target graph to a Berge certificate whose hyperedges all carry, in
+    `coloring`, the host color encoded in the shared product color."""
     mono = _mono_color(reduction.pair_color, g, embedding)
-    host_color = None
-    if coloring is not None and mono is not None:
-        host_color, _ = reduction.color_parts(mono)
+    host_color = None if mono is None else reduction.color_parts(mono)[0]
     return lift_embedding(hg, g, embedding, coloring, host_color)
 
 
-def lift_trace_subgraph(trace, hg, g, embedding, coloring=None):
+def lift_trace_subgraph(trace, hg, g, embedding, coloring):
     """Lift a monochromatic embedded copy found in a trace coloring to a
-    Berge certificate on the hyperedges its pairs took their colors from."""
+    Berge certificate on the hyperedges its pairs took their colors from,
+    all of the trace's color in `coloring`."""
     mono = _mono_color(trace.pair_color, g, embedding)
     return lift_embedding(hg, g, embedding, coloring, mono)
 

@@ -133,9 +133,12 @@ def unavoidable_sharded(hg, g1, g2, bits, limit=DEFAULT_COLORING_LIMIT,
     _check_limit(limit)
     run = partial(unavoidable, hg, g1, g2, limit=limit)
     pool = None
-    if jobs > 1:
+    workers = min(jobs, len(prefixes))
+    if workers > 1:
+        # a fork pool starts all its workers at the first submit, so it
+        # gets no more of them than there are shards
         from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=jobs)
+        pool = ProcessPoolExecutor(max_workers=workers)
     examined = 0
     try:
         for r in pool.map(run, prefixes) if pool else map(run, prefixes):

@@ -499,6 +499,38 @@ class TestUnavoidable:
         assert record["shard"] == shard
         assert record["verdict"] == "UNAVOIDABLE"
 
+    # (g2, --shard-bits, shard count); on K5 a K3 vs K3 search runs only
+    # the "0..." shards, so bits 0 and 1 leave one shard
+    @pytest.mark.parametrize("g2,bits,shards", [
+        ("k3", "2", 2), ("k3", "0", 1), ("k3", "1", 1), ("k4", "2", 4)])
+    def test_at_most_one_worker_per_shard(self, files, capsys, monkeypatch,
+                                          g2, bits, shards):
+        import concurrent.futures
+        started = []
+
+        class Spy(concurrent.futures.ProcessPoolExecutor):
+            def _spawn_process(self):
+                started.append(self._max_workers)
+                super()._spawn_process()
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+        records = {}
+        for jobs in (1, 2, 3, 4, 8):
+            started.clear()
+            assert run("unavoidable", files["k5"], files["k3"], files[g2],
+                       "--jobs", jobs, "--shard-bits", bits,
+                       "--format", "structured") == 0
+            record = json.loads(capsys.readouterr().out)
+            del record["manifest"]
+            records[jobs] = record
+            # a fork pool starts all its workers at once, others on demand;
+            # one worker means no pool
+            workers = min(jobs, shards)
+            assert set(started) <= {workers} and len(started) <= workers
+            assert workers > 1 or started == []
+        assert all(r == records[1] for r in records.values())
+        assert records[1]["shard"] == f"merged[{bits}]"
+
 
 class TestMtLllAndCertify:
     def test_full_chain(self, files, capsys):
@@ -1345,10 +1377,6 @@ def refusal(path):
 
 
 class TestVerifyDispatch:
-    def test_hypergraph_file(self, files, capsys):
-        assert run("verify", files["fano"]) == 1
-        assert error_lines(capsys, stdout="") == [refusal(files["fano"])]
-
     @pytest.mark.parametrize("kind", ["hypergraph", "design"])
     def test_leading_blank_and_comment_lines(self, files, capsys, kind):
         # the file type is read off the first line that is neither blank
@@ -1404,19 +1432,6 @@ class TestVerifyDispatch:
         assert error_lines(capsys) == [
             "error: line 2 is a '#' comment ('# header'); a JSON record "
             "cannot hold comment lines"]
-
-    def test_coloring_sidecar_is_named(self, files, capsys):
-        col = files["dir"] / "mt.col"
-        assert run("mt-lll", files["fano"], "4", "--coloring-out", col) == 0
-        capsys.readouterr()
-        assert run("verify", col) == 1
-        assert error_lines(capsys) == [refusal(col)]
-
-    def test_empty_file_exit_1(self, files, capsys):
-        empty = files["dir"] / "empty"
-        empty.write_text("")
-        assert run("verify", empty) == 1
-        assert error_lines(capsys) == [refusal(empty)]
 
     def test_cut_record_exit_1(self, files, capsys):
         out = files["dir"] / "rec.json"

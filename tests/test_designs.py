@@ -200,25 +200,28 @@ class TestVerifier:
         classes = [list(c) for c in design.classes]
         classes[0][0], classes[1][0] = classes[1][0], classes[0][0]
         bad = design_from_lists(9, 3, classes)
-        assert PARTITION_FAIL in verify_resolvable_bibd(bad).codes()
+        report = verify_resolvable_bibd(bad)
+        assert PARTITION_FAIL in {v.code for v in report.violations}
 
     def test_duplicated_block(self):
         design = construct_resolvable_bibd(9, 3)
         classes = [list(c) for c in design.classes]
         classes[1] = list(classes[0])
         bad = design_from_lists(9, 3, classes)
-        assert PAIR_COUNT_FAIL in verify_resolvable_bibd(bad).codes()
+        report = verify_resolvable_bibd(bad)
+        assert PAIR_COUNT_FAIL in {v.code for v in report.violations}
 
     def test_missing_class(self):
         design = construct_resolvable_bibd(9, 3)
         bad = design_from_lists(9, 3, design.classes[:-1])
-        codes = verify_resolvable_bibd(bad).codes()
+        codes = {v.code for v in verify_resolvable_bibd(bad).violations}
         assert CLASS_COUNT_FAIL in codes and PAIR_COUNT_FAIL in codes
 
     def test_wrong_block_size(self):
         bad = design_from_lists(6, 3, [[(1, 2, 3), (4, 5, 6)],
                                        [(1, 4), (2, 5, 6, 3)]])
-        assert PARTITION_FAIL in verify_resolvable_bibd(bad).codes()
+        report = verify_resolvable_bibd(bad)
+        assert PARTITION_FAIL in {v.code for v in report.violations}
 
     def test_every_single_point_corruption_detected(self):
         design = construct_resolvable_bibd(9, 3)
@@ -307,21 +310,23 @@ class TestWholeListAudit:
         for (n, k), design in sweep.items():
             if n > 81 or k == n:  # one block: no second block to swap
                 continue
-            assert self.assert_agree(_mutate(design, change)).codes() \
-                == codes, (n, k)
+            report = self.assert_agree(_mutate(design, change))
+            assert {v.code for v in report.violations} == codes, (n, k)
         # relabelled designs, each also audited with its block size k
         # replaced by 1, 0 and k + 1, so that no block has k points
         for design in random_designs:
             mutant = _mutate(design, change)
-            assert self.assert_agree(mutant).codes() == codes
+            report = self.assert_agree(mutant)
+            assert {v.code for v in report.violations} == codes
             for k in (1, 0, design.k + 1):
                 self.assert_agree(mutant._replace(k=k))
 
     def test_degenerate_block_size_uses_the_walk(self):
         assert self.assert_agree(
             design_from_lists(1, 1, [[(1,)]])).ok()
-        assert self.assert_agree(design_from_lists(
-            3, 1, [[(1,), (2,), (3,)]])).codes() == {PAIR_COUNT_FAIL}
+        report = self.assert_agree(design_from_lists(
+            3, 1, [[(1,), (2,), (3,)]]))
+        assert {v.code for v in report.violations} == {PAIR_COUNT_FAIL}
 
 
 class TestDesignToHypergraph:
@@ -330,7 +335,7 @@ class TestDesignToHypergraph:
         assert hg.n == 9 and hg.num_edges == 12
         assert hg.uniformity == frozenset({3})
         assert hg.is_covering()
-        assert all(hg.codegree(p) == 1
+        assert all(len(hg.pair_edges()[p]) == 1
                    for p in combinations(range(1, 10), 2))
 
     def test_15_3_hypergraph(self):

@@ -250,7 +250,7 @@ class TestLifting:
         hg = complete_host(6)
         coloring = EdgeColoring((0,) * 15)
         red = multicolor_product_reduction(hg, coloring)
-        cert = lift_mono_subgraph(red, hg, K3, {1: 1, 2: 2, 3: 3})
+        cert = lift_mono_subgraph(red, hg, K3, {1: 1, 2: 2, 3: 3}, coloring)
         emap = cert.edge_dict()
         assert {hg.edges[i] for i in emap.values()} == {(1, 2), (1, 3),
                                                         (2, 3)}
@@ -262,7 +262,7 @@ class TestLifting:
         hit = find_mono_subgraph(red.pair_color, red.n, P3)
         assert hit is not None
         color, embedding = hit
-        cert = lift_mono_subgraph(red, hg, P3, embedding)
+        cert = lift_mono_subgraph(red, hg, P3, embedding, coloring)
         assert verify_certificate(hg, P3, cert)
         host_color, _ = red.color_parts(color)
         assert verify_certificate(hg, P3, cert, coloring, host_color)
@@ -279,7 +279,8 @@ class TestLifting:
                 break
         with pytest.raises(ValueError):
             lift_mono_subgraph(red, hg, K3,
-                               {i + 1: v for i, v in enumerate(mixed)})
+                               {i + 1: v for i, v in enumerate(mixed)},
+                               coloring)
 
     def test_randomized_product_lift_soundness(self):
         rng = random.Random(404)
